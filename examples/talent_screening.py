@@ -75,8 +75,7 @@ def main():
     parser = ResumeParser(classifier, DictionaryTagger(annotator))
 
     accepted = 0
-    for document in pool:
-        parsed = parser.parse(document)
+    for document, parsed in zip(pool, parser.parse_batch(pool)):
         ok, reason = screen(parsed)
         accepted += ok
         verdict = "ACCEPT" if ok else "reject"

@@ -153,17 +153,8 @@ class BlockClassifier(Module):
         return bool(stacks) and all(m.fused_inference for m in stacks)
 
     def predict(self, document: ResumeDocument) -> List[str]:
-        """Sentence-level IOB labels for one document (Viterbi decode)."""
-        self._ensure_inference_precision([document])
-        features = self.featurizer.featurize(document)
-        self.eval()
-        with no_grad():
-            emissions = self.emissions(features)
-        path = self.crf.decode(emissions)[0]
-        labels = self.scheme.decode(path)
-        # Sentences beyond the encoder's cap inherit 'O'.
-        labels += ["O"] * (document.num_sentences - len(labels))
-        return labels
+        """Sentence-level IOB labels for one document: a batch of one."""
+        return self.predict_batch([document])[0]
 
     def emissions_batch(self, batch: DocumentBatch) -> Tensor:
         """Per-sentence tag scores ``(B, m_max, num_labels)`` for a batch.
@@ -206,8 +197,10 @@ class BlockClassifier(Module):
         Documents are featurised (through the cache), padded into
         cross-document batches of ``batch_size``, and pushed through the
         batched encoder/BiLSTM/Viterbi kernels — one python-level time loop
-        per batch instead of one per document.  Results are identical to
-        per-document :meth:`predict`.
+        per batch instead of one per document.  Padding is masked, so a
+        document's labels do not depend on its batch-mates or on
+        ``batch_size``.  A blank document (no sentences) gets ``[]`` and is
+        never featurised.
 
         ``profile``, if given, is a :class:`repro.eval.timing.StageProfile`
         (or any object with a ``stage(name)`` context manager) that
@@ -224,15 +217,17 @@ class BlockClassifier(Module):
                 return contextlib.nullcontext()
             return profile.stage(name)
 
-        precision = self._ensure_inference_precision(documents)
+        results: List[List[str]] = [[] for _ in documents]
+        live = [i for i, d in enumerate(documents) if d.num_sentences]
+        if not live:
+            return results
+        precision = self._ensure_inference_precision([documents[i] for i in live])
         self.eval()
         telemetry = obs.get_telemetry()
         fused = self._fused_inference_active()
         # Chunk documents in ascending sentence-count order so each padded
-        # batch is near-homogeneous (results land back in input order; each
-        # document's labels are invariant to its batch-mates).
-        order = sorted(range(len(documents)), key=lambda i: documents[i].num_sentences)
-        results: List[Optional[List[str]]] = [None] * len(documents)
+        # batch is near-homogeneous (results land back in input order).
+        order = sorted(live, key=lambda i: documents[i].num_sentences)
         with obs.trace("predict_batch", documents=len(documents),
                        batch_size=batch_size, precision=precision,
                        fused=fused):

@@ -21,8 +21,8 @@ import numpy as np
 
 from .. import obs
 from ..corpus.render import VISUAL_DIM, sentence_visual_features
-from ..docmodel.document import ResumeDocument, Sentence
-from ..docmodel.geometry import BBox
+from ..docmodel.document import ResumeDocument
+from ..docmodel.geometry import LAYOUT_SCALE, BBox
 from ..text.wordpiece import WordPieceTokenizer
 from .config import ResuFormerConfig
 
@@ -259,96 +259,106 @@ class Featurizer:
         return [self.featurize(document) for document in documents]
 
     def _compute(self, document: ResumeDocument) -> DocumentFeatures:
-        """Build the full feature bundle for one document."""
+        """Build the full feature bundle for one document.
+
+        The python loop only tokenises and collects plain values; every
+        box is normalised and bucketised in one array operation.  Sub-word
+        pieces inherit their source word's box (the LayoutLM convention)
+        and each row's leading ``[CLS]`` carries the merged sentence box.
+        """
         sentences = document.sentences[: self.config.max_document_sentences]
         if not sentences:
             raise ValueError(f"document {document.doc_id} has no sentences")
         cap = self.config.max_sentence_tokens
         m = len(sentences)
+        vocab = self.tokenizer.vocab
+        tokenize = self.tokenizer.tokenize_word
 
-        # Tokenise first so padding width adapts to the document (padding
-        # dominates compute at small scales; the cap still bounds it).
-        tokenized = []
-        for sentence in sentences:
+        ids: List[int] = []      # every kept token slot, row-major
+        units: List[int] = []    # its row in the layout table below
+        lengths: List[int] = []
+        coords: List[Tuple[float, float, float, float]] = []  # one per word
+        token_pages: List[int] = []
+        extents: List[Tuple[float, float, float, float]] = []  # one per sentence
+        counts: List[int] = []
+        visual = np.zeros((m, VISUAL_DIM), dtype=np.float64)
+        for row, sentence in enumerate(sentences):
             page = document.page(sentence.page)
-            ids, boxes = self._tokenize_sentence(sentence, page.width, page.height)
-            tokenized.append((ids[:cap], boxes[:cap]))
-        t = max(len(ids) for ids, _ in tokenized)
-
-        token_ids = np.zeros((m, t), dtype=np.int64)
-        token_mask = np.zeros((m, t), dtype=np.float64)
-        token_layout = np.zeros((m, t, 7), dtype=np.int64)
-        sent_layout = np.zeros((m, 7), dtype=np.int64)
-        sent_visual = np.zeros((m, VISUAL_DIM), dtype=np.float64)
-
-        for row, (sentence, (ids, boxes)) in enumerate(zip(sentences, tokenized)):
-            page = document.page(sentence.page)
-            token_ids[row, : len(ids)] = ids
-            token_mask[row, : len(ids)] = 1.0
-            token_layout[row, : len(boxes)] = boxes
-            sent_layout[row] = self._layout_tuple(
-                sentence.bbox.normalized(page.width, page.height), sentence.page
-            )
+            if page.width <= 0 or page.height <= 0:
+                raise ValueError(f"page extent must be positive: {page}")
+            extents.append((page.width, page.height, page.width, page.height))
+            counts.append(len(sentence.tokens))
+            row_ids = [vocab.cls_id]
+            row_units = [row]
+            for token in sentence.tokens:
+                box = token.bbox
+                unit = m + len(coords)
+                coords.append((box.x0, box.y0, box.x1, box.y1))
+                token_pages.append(token.page)
+                pieces = tokenize(token.word.lower())
+                row_ids.extend(vocab.encode(pieces))
+                row_units.extend([unit] * len(pieces))
+            ids.extend(row_ids[:cap])
+            units.extend(row_units[:cap])
+            lengths.append(min(len(row_ids), cap))
             if sentence.visual is not None:
-                sent_visual[row] = np.asarray(sentence.visual, dtype=np.float64)
+                visual[row] = np.asarray(sentence.visual, dtype=np.float64)
             else:
-                sent_visual[row] = sentence_visual_features(
+                visual[row] = sentence_visual_features(
                     sentence, page.width, page.height
                 )
 
+        # Normalise onto the [0, 1000] grid exactly as BBox.normalized does
+        # (round half to even, then clamp).  Normalisation is monotone, so a
+        # sentence's merged box is the min/max of its words' normalised boxes.
+        scale = np.repeat(np.array(extents), counts, axis=0)
+        words = np.clip(
+            np.rint(LAYOUT_SCALE * np.array(coords, dtype=np.float64) / scale),
+            0, LAYOUT_SCALE,
+        ).astype(np.int64)
+        starts = np.cumsum([0] + counts[:-1])
+        merged = np.concatenate(
+            [
+                np.minimum.reduceat(words[:, :2], starts),
+                np.maximum.reduceat(words[:, 2:], starts),
+            ],
+            axis=1,
+        )
+        table = self._bucketize(
+            np.concatenate([merged, words]),
+            np.array([s.page for s in sentences] + token_pages, dtype=np.int64),
+        )
+
+        t = max(lengths)
+        mask = np.arange(t) < np.array(lengths)[:, None]
+        token_ids = np.zeros((m, t), dtype=np.int64)
+        token_ids[mask] = ids
+        token_layout = np.zeros((m, t, 7), dtype=np.int64)
+        token_layout[mask] = table[units]
         positions = np.arange(m, dtype=np.int64)
         return DocumentFeatures(
             token_ids=token_ids,
-            token_mask=token_mask,
+            token_mask=mask.astype(np.float64),
             token_layout=token_layout,
             token_segments=np.zeros((m, t), dtype=np.int64),
-            sentence_layout=sent_layout,
-            sentence_visual=sent_visual,
+            sentence_layout=table[:m].copy(),  # not a view pinning the word rows
+            sentence_visual=visual,
             sentence_positions=positions,
             sentence_segments=(positions % self.config.num_segments).astype(np.int64),
         )
 
     # ------------------------------------------------------------------
-    def _tokenize_sentence(self, sentence: Sentence, page_width, page_height):
-        """WordPiece ids + bucketised layout tuples, with a leading [CLS].
-
-        Sub-word pieces inherit their source word's bounding box, the
-        standard LayoutLM convention.  ``[CLS]`` carries the merged sentence
-        box so its representation can attend with sentence-level geometry.
-        """
-        vocab = self.tokenizer.vocab
-        ids: List[int] = [vocab.cls_id]
-        boxes: List[np.ndarray] = [
-            self._layout_tuple(
-                sentence.bbox.normalized(page_width, page_height), sentence.page
-            )
-        ]
-        for token in sentence.tokens:
-            normalized = token.bbox.normalized(page_width, page_height)
-            layout = self._layout_tuple(normalized, token.page)
-            for piece in self.tokenizer.tokenize_word(token.word.lower()):
-                ids.append(vocab.token_to_id(piece))
-                boxes.append(layout)
-        return ids, boxes
-
-    def _layout_tuple(self, box: BBox, page: int) -> np.ndarray:
-        """Bucketise a normalised box into embedding indices."""
+    def _bucketize(self, boxes: np.ndarray, pages: np.ndarray) -> np.ndarray:
+        """Bucketise ``(n, 4)`` normalised boxes and pages into ``(n, 7)`` indices."""
         buckets = self.config.layout_buckets
         scale = 1000 // buckets + (1 if 1000 % buckets else 0)
+        x0, y0, x1, y1 = boxes.T
+        spatial = np.stack([x0, y0, x1, y1, x1 - x0, y1 - y0], axis=1)
+        layout = np.empty((len(boxes), 7), dtype=np.int64)
+        layout[:, :6] = np.minimum(spatial.astype(np.int64) // scale, buckets - 1)
+        layout[:, 6] = np.minimum(pages, _MAX_PAGES - 1)
+        return layout
 
-        def bucket(value: float) -> int:
-            return min(int(value) // scale, buckets - 1)
-
-        x0, y0, x1, y1 = box.to_tuple()
-        return np.array(
-            [
-                bucket(x0),
-                bucket(y0),
-                bucket(x1),
-                bucket(y1),
-                bucket(x1 - x0),
-                bucket(y1 - y0),
-                min(page, _MAX_PAGES - 1),
-            ],
-            dtype=np.int64,
-        )
+    def _layout_tuple(self, box: BBox, page: int) -> np.ndarray:
+        """Bucketise one normalised box into embedding indices."""
+        return self._bucketize(np.array([box.to_tuple()]), np.array([page]))[0]

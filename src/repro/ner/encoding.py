@@ -31,20 +31,23 @@ def word_shape(word: str, position: int, total: int, is_initial: bool) -> np.nda
     expose them explicitly, as the CNN-character channels of the paper's
     BiLSTM+CNN+CRF baselines do.
     """
+    return np.array(_shape_row(word, position, total, is_initial))
+
+
+def _shape_row(word: str, position: int, total: int, is_initial: bool) -> List[float]:
+    """The :func:`word_shape` values as a plain list."""
     n = max(len(word), 1)
-    digits = sum(c.isdigit() for c in word)
-    return np.array(
-        [
-            1.0 if digits else 0.0,
-            1.0 if digits == n else 0.0,
-            digits / n,
-            1.0 if "@" in word else 0.0,
-            1.0 if any(not c.isalnum() for c in word) else 0.0,
-            min(n / 20.0, 1.0),
-            1.0 if is_initial else 0.0,
-            position / max(total, 1),
-        ]
-    )
+    digits = sum(map(str.isdigit, word))
+    return [
+        1.0 if digits else 0.0,
+        1.0 if digits == n else 0.0,
+        digits / n,
+        1.0 if "@" in word else 0.0,
+        1.0 if word and not word.isalnum() else 0.0,
+        min(n / 20.0, 1.0),
+        1.0 if is_initial else 0.0,
+        position / max(total, 1),
+    ]
 
 
 @dataclass
@@ -100,31 +103,36 @@ class NerFeaturizer:
         piece_shape = np.zeros((b, self.max_pieces, SHAPE_DIM))
 
         vocab = self.tokenizer.vocab
+        label_ids_of = {label: i for i, label in enumerate(self.scheme.labels)}
+        outside = self.scheme.outside_id
         for row, example in enumerate(examples):
             pieces: List[int] = [vocab.cls_id]
-            shapes: List[np.ndarray] = [np.zeros(SHAPE_DIM)]
+            firsts: List[int] = []
+            # One shape row per word; a word's continuation pieces repeat it
+            # with the is-initial flag cleared.
+            shapes: List[List[float]] = []
+            owner: List[int] = []
             total = len(example.words)
             for w, word in enumerate(example.words[: self.max_words]):
-                sub = self.tokenizer.tokenize_word(word.lower())
-                ids = vocab.encode(sub)
+                ids = vocab.encode(self.tokenizer.tokenize_word(word.lower()))
                 if len(pieces) + len(ids) > self.max_pieces:
                     break
-                first_piece[row, w] = len(pieces)
-                word_mask[row, w] = 1.0
-                label = example.labels[w]
-                label_ids[row, w] = (
-                    self.scheme.label_id(label)
-                    if label in self.scheme.labels
-                    else self.scheme.outside_id
-                )
+                firsts.append(len(pieces))
                 pieces.extend(ids)
-                shapes.extend(
-                    word_shape(word, w, total, is_initial=(k == 0))
-                    for k in range(len(ids))
-                )
+                owner.extend([w] * len(ids))
+                shapes.append(_shape_row(word, w, total, is_initial=True))
+            kept = len(firsts)
+            first_piece[row, :kept] = firsts
+            word_mask[row, :kept] = 1.0
+            label_ids[row, :kept] = [
+                label_ids_of.get(label, outside) for label in example.labels[:kept]
+            ]
             piece_ids[row, : len(pieces)] = pieces
             piece_mask[row, : len(pieces)] = 1.0
-            piece_shape[row, : len(shapes)] = np.stack(shapes)
+            if owner:
+                rows = np.array(shapes)[owner]
+                rows[1:, 6] = np.diff(owner) != 0
+                piece_shape[row, 1 : len(pieces)] = rows
 
         # Trim padding to the batch's actual extents — attention cost is
         # quadratic in the piece axis, so static max-size padding would

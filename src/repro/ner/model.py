@@ -232,18 +232,6 @@ class NerTagger(Module):
             probs = softmax(self.logits(features), axis=-1)
         return probs.numpy()
 
-    def predict(self, examples: Sequence[NerExample]) -> List[List[str]]:
-        """IOB label strings per example (argmax decoding)."""
-        self._ensure_inference_precision(examples)
-        features = self.featurizer.featurize(examples)
-        return self._decode_features(features, examples)
-
-    def _decode_features(
-        self, features: NerFeatures, examples: Sequence[NerExample]
-    ) -> List[List[str]]:
-        """Encode featurised examples and argmax-decode label strings."""
-        return self._decode_with_scores(features, examples)[0]
-
     def _decode_with_scores(
         self, features: NerFeatures, examples: Sequence[NerExample]
     ):
@@ -263,28 +251,31 @@ class NerTagger(Module):
                 predictions.append(labels)
         return predictions, scores
 
-    def predict_batch(
+    def predict(
         self, examples: Sequence[NerExample], batch_size: int = 32
     ) -> List[List[str]]:
-        """Batched decoding over many examples.
+        """IOB label strings per example (argmax decoding), in input order.
 
-        Examples are featurised and decoded in chunks of ``batch_size``:
-        padding is trimmed per chunk, which keeps the quadratic attention
-        cost bounded by each chunk's longest block instead of the corpus
-        maximum.  Equivalent to concatenating per-chunk :meth:`predict`.
-        An active :mod:`repro.obs` session records per-stage spans
-        (``featurize`` / ``encode+decode``) plus batch-size and
+        Examples are sorted by word count and run in chunks of
+        ``batch_size``, so each chunk pads only to its own longest block:
+        attention cost is quadratic in the piece axis, and a cross-document
+        call mixes one-line blocks with long work histories.  Padding is
+        masked, so an example's labels depend only on its own words, never
+        on its batch-mates.  An active :mod:`repro.obs` session records
+        ``featurize``/``encode``/``decode`` spans plus batch-size and
         padding-waste histograms.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         precision = self._ensure_inference_precision(examples)
         telemetry = obs.get_telemetry()
-        predictions: List[List[str]] = []
-        with obs.trace("ner.predict_batch", examples=len(examples),
+        order = sorted(range(len(examples)), key=lambda i: len(examples[i].words))
+        predictions: List[Optional[List[str]]] = [None] * len(examples)
+        with obs.trace("ner.predict", examples=len(examples),
                        batch_size=batch_size, precision=precision):
-            for start in range(0, len(examples), batch_size):
-                chunk = examples[start : start + batch_size]
+            for start in range(0, len(order), batch_size):
+                indices = order[start : start + batch_size]
+                chunk = [examples[i] for i in indices]
                 with obs.trace("featurize", batch=len(chunk)):
                     features = self.featurizer.featurize(chunk)
                 if telemetry is not None:
@@ -304,13 +295,17 @@ class NerTagger(Module):
                 chunk_predictions, scores = self._decode_with_scores(
                     features, chunk
                 )
-                predictions.extend(chunk_predictions)
+                for index, labels in zip(indices, chunk_predictions):
+                    predictions[index] = labels
                 if telemetry is not None and telemetry.drift is not None:
                     self._observe_drift(
                         telemetry.drift, chunk, features, scores,
                         chunk_predictions,
                     )
         return predictions
+
+    #: Alias of :meth:`predict` under its batched name.
+    predict_batch = predict
 
     def _observe_drift(
         self, monitor, chunk, features, scores, predictions

@@ -199,21 +199,26 @@ class Profiler:
 
     def _sample(self) -> None:
         own_ident = threading.get_ident()
-        frames = sys._current_frames()
-        names = {t.ident: t.name for t in threading.enumerate()}
-        stacks = tracing.span_stacks_snapshot()
+        # Everything that may release the GIL (the statm read, lock waits)
+        # runs before the frame snapshot, and the frames are walked at once:
+        # a frame whose generator finishes in between loses its f_back and
+        # would be recorded as a truncated one-frame stack.
         rss = _read_rss_bytes() if self.track_memory else None
         traced = (
             tracemalloc.get_traced_memory()[0]
             if self.track_memory and tracemalloc.is_tracing()
             else None
         )
+        names = {t.ident: t.name for t in threading.enumerate()}
+        stacks = tracing.span_stacks_snapshot()
+        sampled = [
+            (ident, collapse_frame(frame, self.max_stack_depth))
+            for ident, frame in sys._current_frames().items()
+            if ident != own_ident
+        ]
         with self._lock:
-            for ident, frame in frames.items():
-                if ident == own_ident:
-                    continue
+            for ident, (collapsed, leaf) in sampled:
                 thread_name = names.get(ident, f"thread-{ident}")
-                collapsed, leaf = collapse_frame(frame, self.max_stack_depth)
                 key = (thread_name, collapsed)
                 self._pending_stacks[key] = self._pending_stacks.get(key, 0) + 1
                 self._pending_functions[leaf] = (

@@ -78,7 +78,13 @@ class ParsedResume:
 
 
 class ResumeParser:
-    """The full two-stage pipeline of the paper."""
+    """The full two-stage pipeline of the paper.
+
+    :meth:`parse_batch` is the only parse path: one block-classifier pass
+    over every document of the call, then one NER pass over every
+    entity-bearing block of every document.  :meth:`parse` is a batch of
+    one.  A document's result does not depend on its batch-mates.
+    """
 
     def __init__(
         self,
@@ -89,51 +95,62 @@ class ResumeParser:
         self.ner_tagger = ner_tagger
 
     # ------------------------------------------------------------------
-    def segment(self, document: ResumeDocument) -> List[ParsedBlock]:
-        """Stage 1: sentence-level block segmentation."""
-        with obs.trace("pipeline.segment", sentences=document.num_sentences):
-            labels = self.block_classifier.predict(document)
+    def segment(
+        self, documents: Sequence[ResumeDocument]
+    ) -> List[List[ParsedBlock]]:
+        """Stage 1: sentence-level block segmentation, one list per document."""
+        with obs.trace("pipeline.segment", documents=len(documents)):
+            predictions = self.block_classifier.predict_batch(documents)
             scheme = self.block_classifier.scheme
-            ids = [
-                scheme.label_id(label) if label in scheme.labels else scheme.outside_id
-                for label in labels
-            ]
-            blocks: List[ParsedBlock] = []
-            for start, stop, tag in iob_to_spans(ids, scheme):
-                indices = list(range(start, stop))
-                text = " ".join(document.sentences[i].text for i in indices)
-                blocks.append(
-                    ParsedBlock(tag=tag, sentence_indices=indices, text=text)
-                )
+            segmented: List[List[ParsedBlock]] = []
+            for document, labels in zip(documents, predictions):
+                ids = [
+                    scheme.label_id(label) if label in scheme.labels
+                    else scheme.outside_id
+                    for label in labels
+                ]
+                blocks = []
+                for start, stop, tag in iob_to_spans(ids, scheme):
+                    indices = list(range(start, stop))
+                    text = " ".join(document.sentences[i].text for i in indices)
+                    blocks.append(
+                        ParsedBlock(tag=tag, sentence_indices=indices, text=text)
+                    )
+                segmented.append(blocks)
         telemetry = obs.get_telemetry()
         if telemetry is not None:
             counter = telemetry.metrics.counter("pipeline.blocks")
-            for block in blocks:
-                counter.inc(tag=block.tag)
-        return blocks
+            for blocks in segmented:
+                for block in blocks:
+                    counter.inc(tag=block.tag)
+        return segmented
 
     def extract_entities(
-        self, document: ResumeDocument, blocks: Sequence[ParsedBlock]
+        self,
+        documents: Sequence[ResumeDocument],
+        segmented: Sequence[Sequence[ParsedBlock]],
     ) -> None:
-        """Stage 2: NER inside each entity-bearing block (in place)."""
+        """Stage 2: NER inside every entity-bearing block (in place).
+
+        The blocks of all documents go through one ``NerTagger.predict``
+        call, which length-sorts them internally.
+        """
         if self.ner_tagger is None:
             return
-        targets = [b for b in blocks if b.tag in BLOCK_ENTITIES]
+        targets = [
+            (document, block)
+            for document, blocks in zip(documents, segmented)
+            for block in blocks
+            if block.tag in BLOCK_ENTITIES
+        ]
         if not targets:
             return
         with obs.trace("pipeline.extract_entities", blocks=len(targets)):
-            examples = []
-            for block in targets:
-                words: List[str] = []
-                for index in block.sentence_indices:
-                    words.extend(document.sentences[index].words)
-                examples.append(
-                    NerExample(words, ["O"] * len(words), block.tag, document.doc_id)
-                )
+            examples = [_block_example(d, b) for d, b in targets]
             predictions = self.ner_tagger.predict(examples)
             scheme = self.ner_tagger.scheme
             telemetry = obs.get_telemetry()
-            for block, example, labels in zip(targets, examples, predictions):
+            for (_, block), example, labels in zip(targets, examples, predictions):
                 ids = [
                     scheme.label_id(l) if l in scheme.labels else scheme.outside_id
                     for l in labels
@@ -156,15 +173,36 @@ class ResumeParser:
                         # repro-lint: disable=RN012
                         telemetry.metrics.counter("pipeline.entities").inc(tag=tag)
 
-    def parse(self, document: ResumeDocument) -> ParsedResume:
-        """Run both stages and return the hierarchical structure."""
-        with obs.trace("pipeline.parse", doc_id=document.doc_id):
-            blocks = self.segment(document)
-            self.extract_entities(document, blocks)
+    def parse_batch(
+        self, documents: Sequence[ResumeDocument]
+    ) -> List[ParsedResume]:
+        """Run both stages over many documents; results in input order.
+
+        A blank document (no sentences) parses to a resume with no blocks.
+        """
+        documents = list(documents)
+        with obs.trace("pipeline.parse", documents=len(documents)):
+            segmented = self.segment(documents)
+            self.extract_entities(documents, segmented)
         telemetry = obs.get_telemetry()
         if telemetry is not None:
-            telemetry.metrics.counter("pipeline.documents").inc()
-        return ParsedResume(doc_id=document.doc_id, blocks=blocks)
+            telemetry.metrics.counter("pipeline.documents").inc(len(documents))
+        return [
+            ParsedResume(doc_id=document.doc_id, blocks=blocks)
+            for document, blocks in zip(documents, segmented)
+        ]
+
+    def parse(self, document: ResumeDocument) -> ParsedResume:
+        """Run both stages on one document: a batch of one."""
+        return self.parse_batch([document])[0]
+
+
+def _block_example(document: ResumeDocument, block: ParsedBlock) -> NerExample:
+    """The block's words as an unlabelled NER instance."""
+    words: List[str] = []
+    for index in block.sentence_indices:
+        words.extend(document.sentences[index].words)
+    return NerExample(words, ["O"] * len(words), block.tag, document.doc_id)
 
 
 def segment_to_ner_examples(
@@ -178,19 +216,14 @@ def segment_to_ner_examples(
     of each entity-bearing predicted block becomes one training instance
     for the distant annotator.  (``repro.corpus.extract_block_examples``
     is the gold-segmentation variant used for controlled evaluation.)
+    All documents are segmented in one batched call.
     """
-    parser = ResumeParser(classifier, ner_tagger=None)
-    examples: List[NerExample] = []
-    for document in documents:
-        for block in parser.segment(document):
-            if block.tag not in BLOCK_ENTITIES:
-                continue
-            words: List[str] = []
-            for index in block.sentence_indices:
-                words.extend(document.sentences[index].words)
-            if not words:
-                continue
-            examples.append(
-                NerExample(words, ["O"] * len(words), block.tag, document.doc_id)
-            )
-    return examples
+    documents = list(documents)
+    segmented = ResumeParser(classifier, ner_tagger=None).segment(documents)
+    examples = [
+        _block_example(document, block)
+        for document, blocks in zip(documents, segmented)
+        for block in blocks
+        if block.tag in BLOCK_ENTITIES
+    ]
+    return [example for example in examples if example.words]

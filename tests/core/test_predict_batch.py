@@ -1,8 +1,9 @@
-"""Batched inference: predict_batch must never drift from predict.
+"""Batched inference: a document's labels never depend on its batch.
 
-The fast path (cross-document padding + batched kernels) and the reference
-path (one document at a time) must agree label-for-label; the featurization
-cache must make repeated sweeps free.
+``predict`` is a batch of one, so there is no second implementation to
+compare against; the contract is batch-composition invariance instead.  A
+document's labels are identical alone, in any batch, in any order and at
+any batch size.  The featurization cache must make repeated sweeps free.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from repro.core import (
     LabeledDocument,
     collate_documents,
 )
-from repro.docmodel import BLOCK_SCHEME
+from repro.docmodel import BLOCK_SCHEME, ResumeDocument
 
 
 @pytest.fixture()
@@ -27,14 +28,29 @@ def classifier(encoder, featurizer):
 
 class TestPredictBatch:
     def test_smoke_single_document_equals_predict(self, classifier, tiny_docs):
-        # The tier-1 guard: the fast path can never drift from the
-        # reference path.
+        # The tier-1 guard: predict stays a batch of one.
         doc = tiny_docs[0]
         assert classifier.predict_batch([doc]) == [classifier.predict(doc)]
 
     def test_ragged_batch_equals_per_document(self, classifier, tiny_docs):
+        # Each document parsed alone vs. ragged chunks of a shared batch.
         expected = [classifier.predict(d) for d in tiny_docs]
         assert classifier.predict_batch(tiny_docs, batch_size=4) == expected
+
+    def test_labels_invariant_to_batch_composition(self, classifier, tiny_docs):
+        alone = [classifier.predict_batch([d])[0] for d in tiny_docs]
+        assert classifier.predict_batch(tiny_docs[::-1])[::-1] == alone
+        pairs = classifier.predict_batch([tiny_docs[5], tiny_docs[0]])
+        assert pairs == [alone[5], alone[0]]
+        assert all(len(a) == d.num_sentences for a, d in zip(alone, tiny_docs))
+
+    def test_blank_document_gets_no_labels(self, classifier, tiny_docs):
+        blank = ResumeDocument("blank", tiny_docs[0].pages, [])
+        expected = classifier.predict_batch(tiny_docs[:2])
+        assert classifier.predict_batch([blank]) == [[]]
+        assert classifier.predict(blank) == []
+        got = classifier.predict_batch([tiny_docs[0], blank, tiny_docs[1]])
+        assert got == [expected[0], [], expected[1]]
 
     def test_batch_size_one_chunks_equal_full_batch(self, classifier, tiny_docs):
         docs = tiny_docs[:3]
@@ -193,3 +209,29 @@ class TestNerPredictBatch:
             assert len(got) == len(example.words)
         # A chunk boundary must not change predictions.
         assert batched == tagger.predict_batch(examples, batch_size=3)
+
+
+class TestNerPredictOrder:
+    def test_input_order_survives_length_sort(self, tokenizer):
+        from repro.corpus.datasets import NerExample
+        from repro.ner import NerConfig, NerTagger
+
+        config = NerConfig(
+            vocab_size=len(tokenizer.vocab), hidden_dim=16, layers=1, heads=2,
+            lstm_hidden=8, dropout=0.0,
+        )
+        tagger = NerTagger(config, tokenizer, rng=np.random.default_rng(4))
+        vocabulary = ["john", "doe", "python", "java", "paris", "engineer",
+                      "2019", "university", "manager", "data"]
+        rng = np.random.default_rng(11)
+        lengths = rng.permutation([1, 2, 3, 5, 8, 13, 21, 34, 4, 9, 17, 6])
+        examples = [
+            NerExample(list(rng.choice(vocabulary, size=n)), ["O"] * n, "WorkExp")
+            for n in lengths
+        ]
+        alone = [tagger.predict([e])[0] for e in examples]
+        # Chunks of 5 over the length-sorted order cut every block run apart.
+        got = tagger.predict(examples, batch_size=5)
+        assert [len(labels) for labels in got] == list(lengths)
+        assert got == alone
+        assert tagger.predict(examples[::-1])[::-1] == alone

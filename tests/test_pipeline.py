@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     BlockClassifier,
     BlockTrainer,
@@ -11,8 +12,8 @@ from repro.core import (
     LabeledDocument,
     ResuFormerConfig,
 )
-from repro.corpus import ContentConfig, ResumeGenerator
-from repro.docmodel import BLOCK_ENTITIES, BLOCK_SCHEME
+from repro.corpus import ContentConfig, ResumeGenerator, extract_block_examples
+from repro.docmodel import BLOCK_ENTITIES, BLOCK_SCHEME, ResumeDocument
 from repro.ner import NerConfig, NerTagger
 from repro.pipeline import ParsedResume, ResumeParser
 from repro.text import WordPieceTokenizer
@@ -127,3 +128,94 @@ class TestResumeParser:
                 sum(p == g for p, g in zip(predicted, gold)) / len(gold)
             )
         assert max(agreements) > 0.3
+
+
+@pytest.fixture(scope="module")
+def mixed_batch(world):
+    """4 tiny and 4 paper resumes, interleaved."""
+    docs = world[0]
+    paper = ResumeGenerator(seed=78, content_config=ContentConfig.paper()).batch(4)
+    return [d for pair in zip(docs[:4], paper) for d in pair]
+
+
+def _twin(classifier, tagger):
+    """Parameter-identical copies, so quantizing never touches the fixture."""
+    encoder = HierarchicalEncoder(
+        classifier.encoder.config, rng=np.random.default_rng(0)
+    )
+    twin = BlockClassifier(
+        encoder, classifier.featurizer, lstm_hidden=classifier.lstm_hidden,
+        rng=np.random.default_rng(0),
+    )
+    twin.load_state_dict(classifier.state_dict())
+    return twin, tagger.clone()
+
+
+def _blank(docs):
+    return ResumeDocument("blank", docs[0].pages, [])
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("precision", ["float64", "int8"])
+    def test_parsed_resume_independent_of_batch(self, world, mixed_batch, precision):
+        docs, classifier, tagger = world
+        if precision == "int8":
+            classifier, tagger = _twin(classifier, tagger)
+            calibration = [docs[4], docs[5]]
+            classifier.quantize_for_inference(calibration)
+            tagger.quantize_for_inference(extract_block_examples(calibration))
+        parser = ResumeParser(classifier, tagger)
+        alone = [parser.parse(d).to_dict() for d in mixed_batch]
+        batched = [p.to_dict() for p in parser.parse_batch(mixed_batch)]
+        reversed_ = [p.to_dict() for p in parser.parse_batch(mixed_batch[::-1])]
+        assert batched == alone
+        assert reversed_[::-1] == alone
+        assert any(b["entities"] for r in alone for b in r["blocks"])
+
+    def test_blocks_and_spans_are_well_formed(self, world, mixed_batch):
+        docs, classifier, tagger = world
+        for document, parsed in zip(
+            mixed_batch, ResumeParser(classifier, tagger).parse_batch(mixed_batch)
+        ):
+            indices = [i for b in parsed.blocks for i in b.sentence_indices]
+            assert indices == sorted(set(indices))
+            assert all(0 <= i < document.num_sentences for i in indices)
+            for block in parsed.blocks:
+                words = sum(
+                    len(document.sentences[i].words) for i in block.sentence_indices
+                )
+                assert all(0 <= e.start < e.stop <= words for e in block.entities)
+
+
+class TestBlankResume:
+    def test_blank_document_alone(self, world):
+        docs, classifier, tagger = world
+        parser = ResumeParser(classifier, tagger)
+        parsed = parser.parse(_blank(docs))
+        assert parsed.doc_id == "blank" and parsed.blocks == []
+        assert [p.blocks for p in parser.parse_batch([_blank(docs)])] == [[]]
+
+    def test_blank_document_inside_a_batch(self, world):
+        docs, classifier, tagger = world
+        parser = ResumeParser(classifier, tagger)
+        expected = [parser.parse(d).to_dict() for d in docs[:3]]
+        parsed = parser.parse_batch([docs[0], _blank(docs), docs[1], docs[2]])
+        assert parsed[1].blocks == []
+        assert [p.to_dict() for i, p in enumerate(parsed) if i != 1] == expected
+
+
+class TestPipelineTelemetry:
+    def test_one_span_per_stage_and_per_document_counters(self, world):
+        docs, classifier, tagger = world
+        session = obs.Telemetry()
+        with obs.use_telemetry(session):
+            parsed = ResumeParser(classifier, tagger).parse_batch(docs[:3])
+        summary = session.summary()
+        spans = summary["spans"]
+        for name in ("pipeline.parse", "pipeline.segment",
+                     "pipeline.extract_entities"):
+            assert spans[name]["calls"] == 1, name
+        metrics = summary["metrics"]
+        assert metrics["pipeline.documents"]["series"][0]["value"] == 3
+        blocks = sum(s["value"] for s in metrics["pipeline.blocks"]["series"])
+        assert blocks == sum(len(p.blocks) for p in parsed)
