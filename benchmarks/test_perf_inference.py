@@ -25,7 +25,7 @@ import repro  # noqa: F401  (pins BLAS threads)
 from repro import obs
 from repro.core import BlockClassifier, Featurizer, HierarchicalEncoder, ResuFormerConfig
 from repro.corpus import ContentConfig, ResumeGenerator
-from repro.eval import LatencyStats, StageProfile
+from repro.eval import LatencyStats
 from repro.text import WordPieceTokenizer
 
 REPORT_PATH = os.path.join(
@@ -43,6 +43,9 @@ SEED = 417
 #: the same 32-document workload) — the yardstick the ``comparisons``
 #: block measures the new execution tiers against.
 SEED_BASELINE_BATCH_SECONDS = 0.16289
+
+#: ``predict_batch`` spans reported under the ``stages`` key.
+STAGES = ("featurize", "encode", "decode")
 
 
 def _build_world():
@@ -70,7 +73,6 @@ def test_batched_inference_speedup():
     model.predict(documents[0])
     model.predict_batch(documents[:BATCH_SIZE], batch_size=BATCH_SIZE)
 
-    profile = StageProfile()
     single_samples = []          # per-document wall times, all rounds
     single_rounds = []           # whole-sweep wall time per round
     batched_rounds = []
@@ -92,7 +94,7 @@ def test_batched_inference_speedup():
         gc.collect()
         started_round = time.perf_counter()
         with obs.use_telemetry(session):
-            model.predict_batch(documents, batch_size=BATCH_SIZE, profile=profile)
+            model.predict_batch(documents, batch_size=BATCH_SIZE)
         batched_rounds.append(time.perf_counter() - started_round)
 
     single = LatencyStats.from_samples(single_samples)
@@ -107,22 +109,14 @@ def test_batched_inference_speedup():
     ]
 
     # ------------------------------------------------------------------
-    # Execution-tier sweep: the same batched sweep under the graph path
-    # (compositional autograd ops under no_grad), the fused float64
-    # kernels (the default above) and the int8 quantized path.  Rounds
-    # interleave the variants so machine drift hits all three equally.
-    #
-    # The graph path here is NOT the pre-fusion baseline: its primitive
-    # ops route to the same raw kernels under no_grad, so it measures
-    # only the Tensor-boxing overhead the fused routing removes.  The
-    # fused-vs-baseline and int8-vs-baseline comparisons are therefore
-    # taken against the committed pre-fusion report
-    # (``SEED_BASELINE_BATCH_SECONDS``), which timed this exact workload
-    # on the compositional serving path.
+    # Execution-tier sweep: the same batched sweep on the float64 serving
+    # kernels (the default above) and on the int8 quantized path.  Rounds
+    # interleave the variants so machine drift hits both equally.  The
+    # fused-vs-baseline and int8-vs-baseline comparisons are taken against
+    # the committed pre-fusion report (``SEED_BASELINE_BATCH_SECONDS``),
+    # which timed this exact workload on the compositional serving path.
     # ------------------------------------------------------------------
-    from repro.nn.quantize import set_fused_inference
-
-    variant_rounds = {"graph_float64": [], "fused_float64": [], "int8": []}
+    variant_rounds = {"fused_float64": [], "int8": []}
 
     def time_variant(name):
         model.predict_batch(documents[:BATCH_SIZE], batch_size=BATCH_SIZE)
@@ -133,9 +127,6 @@ def test_batched_inference_speedup():
             variant_rounds[name].append(time.perf_counter() - started)
 
     for _ in range(ROUNDS):
-        set_fused_inference(model, False)
-        time_variant("graph_float64")
-        set_fused_inference(model, True)
         time_variant("fused_float64")
         model.quantize_for_inference(documents[:8])
         time_variant("int8")
@@ -146,7 +137,15 @@ def test_batched_inference_speedup():
         "fused_vs_baseline": SEED_BASELINE_BATCH_SECONDS / best["fused_float64"],
         "int8_vs_float": best["fused_float64"] / best["int8"],
         "int8_vs_baseline": SEED_BASELINE_BATCH_SECONDS / best["int8"],
-        "graph_vs_fused": best["graph_float64"] / best["fused_float64"],
+    }
+
+    # Per-stage wall time from the batched rounds' own predict_batch spans,
+    # with fractions of the three stages' summed time.
+    spans = session.tracer.breakdown()
+    stage_seconds = sum(spans[name]["seconds"] for name in STAGES)
+    stages = {
+        name: dict(spans[name], fraction=spans[name]["seconds"] / stage_seconds)
+        for name in STAGES
     }
 
     speedup = min(single_rounds) / min(batched_rounds)
@@ -169,7 +168,7 @@ def test_batched_inference_speedup():
         },
         "comparisons": comparisons,
         "cache_info": model.featurizer.cache.info(),
-        "stages": profile.breakdown(),
+        "stages": stages,
     }
     model.featurizer.cache.export_metrics(session.metrics)
     report["telemetry"] = session.summary()
@@ -180,8 +179,8 @@ def test_batched_inference_speedup():
         f"p50={batched.p50 * 1e3:.1f}ms p95={batched.p95 * 1e3:.1f}ms | "
         f"speedup {speedup:.2f}x | throughput "
         f"{batched.throughput:.1f} docs/s\n"
-        f"tiers (best round): graph {best['graph_float64'] * 1e3:.1f}ms | fused "
-        f"{best['fused_float64'] * 1e3:.1f}ms | int8 {best['int8'] * 1e3:.1f}ms | "
+        f"tiers (best round): fused {best['fused_float64'] * 1e3:.1f}ms | "
+        f"int8 {best['int8'] * 1e3:.1f}ms | "
         f"fused_vs_baseline {comparisons['fused_vs_baseline']:.2f}x | "
         f"int8_vs_float {comparisons['int8_vs_float']:.2f}x | "
         f"int8_vs_baseline {comparisons['int8_vs_baseline']:.2f}x"

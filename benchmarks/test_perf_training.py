@@ -45,7 +45,7 @@ from repro.core import (
     iter_minibatches,
 )
 from repro.corpus import ContentConfig, ResumeGenerator, build_ner_corpus
-from repro.eval import LatencyStats, StageProfile
+from repro.eval import LatencyStats
 from repro.ner import NerConfig, NerTagger
 from repro.nn import AdamW, ParamGroup, clip_grad_norm
 from repro.text import WordPieceTokenizer
@@ -127,18 +127,18 @@ def test_batched_training_speedup():
         clip_grad_norm(parameters, 5.0)
         optimizer.step()
 
-    profile = StageProfile()
+    stages = obs.Tracer()
 
     def batched_step(chunk, labels):
-        with profile.stage("collate"):
+        with stages.span("collate"):
             batch = collate_documents(chunk)
             label_block = collate_labels(chunk, labels)
         optimizer.zero_grad()
-        with profile.stage("loss"):
+        with stages.span("loss"):
             loss = model.loss_batch(batch, label_block)
-        with profile.stage("backward"):
+        with stages.span("backward"):
             loss.backward()
-        with profile.stage("step"):
+        with stages.span("step"):
             clip_grad_norm(parameters, 5.0)
             optimizer.step()
 
@@ -267,7 +267,7 @@ def test_batched_training_speedup():
                 "per_document": num_sentences / min(single_rounds),
                 "batched": num_sentences / min(batched_rounds),
             },
-            "stages": profile.breakdown(),
+            "stages": stages.breakdown(),
         },
         "pretrain": {
             "batch_size": BATCH_SIZE,

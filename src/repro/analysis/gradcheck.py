@@ -203,7 +203,6 @@ NON_DIFFERENTIABLE: Dict[str, str] = {
     "quantize_model": "structural transform, not an op",
     "dequantize": "structural transform, not an op",
     "calibration": "context manager toggling calibration state",
-    "set_fused_inference": "flag toggle on encoder modules",
     "quantization_report": "telemetry summary, not an op",
 }
 
@@ -545,44 +544,8 @@ def _register_attention() -> None:
 
 # -- recurrent ---------------------------------------------------------
 def _register_recurrent() -> None:
-    from ..nn.recurrent import BiLstm, Lstm, LstmCell, fused_lstm_step
+    from ..nn.recurrent import BiLstm, Lstm, LstmCell
     from ..nn.tensor import concat
-
-    @spec("fused_lstm_step", "one step (2,3)->(2,2), both outputs")
-    def _():
-        cell = LstmCell(3, 2, rng=_rng(72))
-
-        def fn(x, h, c):
-            h_next, c_next = fused_lstm_step(x, h, c, cell.weight, cell.bias)
-            return concat([h_next, c_next], axis=-1)
-
-        return {
-            "fn": fn,
-            "inputs": [
-                _tensor(_rng(73), 2, 3),
-                _tensor(_rng(74), 2, 2),
-                _tensor(_rng(75), 2, 2),
-            ],
-            "params": _params(cell),
-        }
-
-    @spec("fused_lstm_step", "h-only objective (c gradient path idle)")
-    def _():
-        cell = LstmCell(2, 2, rng=_rng(76))
-
-        def fn(x, h, c):
-            h_next, _ = fused_lstm_step(x, h, c, cell.weight, cell.bias)
-            return h_next
-
-        return {
-            "fn": fn,
-            "inputs": [
-                _tensor(_rng(77), 2, 2),
-                _tensor(_rng(78), 2, 2),
-                _tensor(_rng(79), 2, 2),
-            ],
-            "params": _params(cell),
-        }
 
     @spec("LstmCell", "one step (2,3)->(2,2)")
     def _():

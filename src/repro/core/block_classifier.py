@@ -9,7 +9,6 @@ hierarchical encoder and a fast one for the randomly initialised head.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -113,9 +112,9 @@ class BlockClassifier(Module):
         """Lazily apply the configured serving precision; returns it.
 
         ``int8`` quantizes on first use, calibrating on a slice of the
-        incoming documents; ``float32`` flips the fused encoder kernels
+        incoming documents; ``float32`` flips the raw-array encoder kernels
         to single precision; the default ``float64`` is a no-op (the
-        fused kernels already serve at full precision).
+        raw-array kernels already serve at full precision).
         """
         precision = getattr(
             self.encoder.config, "inference_precision", "float64"
@@ -145,13 +144,6 @@ class BlockClassifier(Module):
         return self.crf.neg_log_likelihood(emissions, labels[None, :])
 
     # ------------------------------------------------------------------
-    def _fused_inference_active(self) -> bool:
-        """Whether every encoder stack routes no-grad calls to fused kernels."""
-        from ..nn import TransformerEncoder
-
-        stacks = [m for m in self.modules() if isinstance(m, TransformerEncoder)]
-        return bool(stacks) and all(m.fused_inference for m in stacks)
-
     def predict(self, document: ResumeDocument) -> List[str]:
         """Sentence-level IOB labels for one document: a batch of one."""
         return self.predict_batch([document])[0]
@@ -159,7 +151,7 @@ class BlockClassifier(Module):
     def emissions_batch(self, batch: DocumentBatch) -> Tensor:
         """Per-sentence tag scores ``(B, m_max, num_labels)`` for a batch.
 
-        Under ``no_grad`` with the fused kernels active, the entire
+        Under ``no_grad`` with dropout inactive, the entire
         pipeline — sentence encoder, document encoder, BiLSTM and MLP —
         runs on raw ndarrays in the serving dtype.  At float64 the
         result matches the graph path to GEMM and LayerNorm round-off
@@ -190,7 +182,6 @@ class BlockClassifier(Module):
         self,
         documents: Sequence[ResumeDocument],
         batch_size: int = 8,
-        profile=None,
     ) -> List[List[str]]:
         """Sentence-level IOB labels for many documents at once.
 
@@ -202,20 +193,12 @@ class BlockClassifier(Module):
         ``batch_size``.  A blank document (no sentences) gets ``[]`` and is
         never featurised.
 
-        ``profile``, if given, is a :class:`repro.eval.timing.StageProfile`
-        (or any object with a ``stage(name)`` context manager) that
-        accumulates per-stage wall time under the keys ``featurize``,
-        ``encode`` and ``decode``.  Independently, an active
-        :mod:`repro.obs` telemetry session records the same stages as
-        nested spans plus batch-size and padding-waste histograms.
+        An active :mod:`repro.obs` telemetry session records the
+        ``featurize``, ``encode`` and ``decode`` stages as nested spans
+        plus batch-size and padding-waste histograms.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-
-        def stage(name: str):
-            if profile is None:
-                return contextlib.nullcontext()
-            return profile.stage(name)
 
         results: List[List[str]] = [[] for _ in documents]
         live = [i for i, d in enumerate(documents) if d.num_sentences]
@@ -224,17 +207,15 @@ class BlockClassifier(Module):
         precision = self._ensure_inference_precision([documents[i] for i in live])
         self.eval()
         telemetry = obs.get_telemetry()
-        fused = self._fused_inference_active()
         # Chunk documents in ascending sentence-count order so each padded
         # batch is near-homogeneous (results land back in input order).
         order = sorted(live, key=lambda i: documents[i].num_sentences)
         with obs.trace("predict_batch", documents=len(documents),
-                       batch_size=batch_size, precision=precision,
-                       fused=fused):
+                       batch_size=batch_size, precision=precision):
             for start in range(0, len(order), batch_size):
                 indices = order[start : start + batch_size]
                 chunk = [documents[i] for i in indices]
-                with stage("featurize"), obs.trace("featurize", batch=len(chunk)):
+                with obs.trace("featurize", batch=len(chunk)):
                     features = [self.featurizer.featurize(d) for d in chunk]
                     batch = collate_documents(features)
                 if telemetry is not None:
@@ -249,13 +230,11 @@ class BlockClassifier(Module):
                         "inference.batch_size", buckets=_BATCH_BUCKETS
                     ).observe(len(chunk))
                     telemetry.metrics.counter("inference.documents").inc(len(chunk))
-                with stage("encode"), obs.trace(
-                    "encode", batch=len(chunk), fused=fused, precision=precision
+                with obs.trace(
+                    "encode", batch=len(chunk), precision=precision
                 ), no_grad():
                     emissions = self.emissions_batch(batch)
-                if telemetry is not None and fused:
-                    telemetry.metrics.counter("encode.fused.batches").inc()
-                with stage("decode"), obs.trace("decode", batch=len(chunk)):
+                with obs.trace("decode", batch=len(chunk)):
                     paths = self.crf.decode(emissions, batch.sentence_mask)
                 chunk_labels: List[List[str]] = []
                 for index, document, path in zip(indices, chunk, paths):

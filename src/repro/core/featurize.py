@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import obs
 from ..corpus.render import VISUAL_DIM, sentence_visual_features
-from ..docmodel.document import ResumeDocument
+from ..docmodel.document import InvalidDocumentError, ResumeDocument
 from ..docmodel.geometry import LAYOUT_SCALE, BBox
 from ..text.wordpiece import WordPieceTokenizer
 from .config import ResuFormerConfig
@@ -283,9 +283,17 @@ class Featurizer:
         counts: List[int] = []
         visual = np.zeros((m, VISUAL_DIM), dtype=np.float64)
         for row, sentence in enumerate(sentences):
-            page = document.page(sentence.page)
+            try:
+                page = document.page(sentence.page)
+            except KeyError:
+                raise InvalidDocumentError(
+                    document.doc_id,
+                    f"sentence {row} names missing page {sentence.page}",
+                ) from None
             if page.width <= 0 or page.height <= 0:
-                raise ValueError(f"page extent must be positive: {page}")
+                raise InvalidDocumentError(
+                    document.doc_id, f"page extent must be positive: {page}"
+                )
             extents.append((page.width, page.height, page.width, page.height))
             counts.append(len(sentence.tokens))
             row_ids = [vocab.cls_id]

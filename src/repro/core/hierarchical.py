@@ -138,11 +138,7 @@ class HierarchicalEncoder(Module):
         """
         encoder = self.sentence_encoder
         groups = self._bucket_groups(batch.token_mask, rows_per_bucket, max_buckets)
-        if (
-            not is_grad_enabled()
-            and encoder.encoder.fused_inference
-            and encoder.encoder._dropout_inactive()
-        ):
+        if not is_grad_enabled() and encoder.encoder._dropout_inactive():
             # Forward-only ragged pass: one per-token buffer for every
             # bucket, attention per bucket (results identical — see
             # SentenceEncoder.infer_buckets).
@@ -178,7 +174,7 @@ class HierarchicalEncoder(Module):
     def _inference_ready(self) -> bool:
         """Whether both stacks can run the raw forward-only kernels."""
         stacks = (self.sentence_encoder.encoder, self.document_encoder.encoder)
-        return all(s.fused_inference and s._dropout_inactive() for s in stacks)
+        return all(s._dropout_inactive() for s in stacks)
 
     def infer_batch(self, batch: DocumentBatch) -> np.ndarray:
         """Raw-array contextual sentence states ``(B, m_max, D)``.

@@ -15,7 +15,6 @@ import numpy as np
 from ..nn import Linear, Module, Tensor, TransformerEncoder
 from ..nn import init as nn_init
 from ..nn.functional import l2_normalize
-from ..nn.tensor import is_grad_enabled
 from .config import ResuFormerConfig
 from .embeddings import LayoutEmbedding, TextEmbedding
 
@@ -72,41 +71,12 @@ class SentenceEncoder(Module):
             representations ``(m, t, d)`` and the pooled, L2-normalised
             sentence vectors ``(m, d)``.
         """
-        if (
-            not is_grad_enabled()
-            and self.encoder.fused_inference
-            and self.encoder._dropout_inactive()
-        ):
-            states, vectors = self._forward_inference(
-                token_ids, token_mask, token_layout, token_segments
-            )
-            return Tensor(states), Tensor(vectors)
         embedded = self.text_embedding(token_ids, token_segments)
         embedded = embedded + self.layout_embedding(token_layout)
         states = self.encoder(embedded, attention_mask=token_mask)
         cls = states[:, 0, :]
         pooled = self.pooler(cls).tanh()
         return states, l2_normalize(pooled, axis=-1)
-
-    def _forward_inference(
-        self,
-        token_ids: np.ndarray,
-        token_mask: np.ndarray,
-        token_layout: np.ndarray,
-        token_segments: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Whole-pipeline forward on raw arrays — embeddings through
-        pooling without Tensor boxing.  At float64 the result matches
-        the graph path to a few ulp of GEMM/LayerNorm round-off; under
-        quantization the encoder stack (and its quantized GEMMs) runs in
-        float32."""
-        embedded = self.text_embedding.infer(token_ids, token_segments)
-        embedded = embedded + self.layout_embedding.infer(token_layout)
-        states = self.encoder.infer(embedded, attention_mask=token_mask)
-        cls = states[:, 0, :]
-        pooled = np.tanh(self.pooler.infer(cls))
-        norm = np.sqrt((pooled * pooled).sum(axis=-1, keepdims=True) + 1e-12)
-        return states, pooled / norm
 
     def infer_buckets(self, buckets) -> np.ndarray:
         """Sentence vectors for several width buckets in one ragged pass.

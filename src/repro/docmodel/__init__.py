@@ -1,6 +1,6 @@
 """``repro.docmodel`` — document geometry, structure and label schemes."""
 
-from .document import Page, ResumeDocument, Sentence, Token
+from .document import InvalidDocumentError, Page, ResumeDocument, Sentence, Token
 from .geometry import LAYOUT_SCALE, BBox, merge_boxes, normalize_coordinate
 from .labels import (
     BLOCK_ENTITIES,
@@ -23,6 +23,7 @@ __all__ = [
     "Sentence",
     "Page",
     "ResumeDocument",
+    "InvalidDocumentError",
     "BLOCK_TAGS",
     "ENTITY_TAGS",
     "BLOCK_ENTITIES",

@@ -16,7 +16,19 @@ from typing import List, Optional, Sequence, Tuple
 from .geometry import BBox, merge_boxes
 from .labels import IobScheme
 
-__all__ = ["Token", "Sentence", "Page", "ResumeDocument"]
+__all__ = ["Token", "Sentence", "Page", "ResumeDocument", "InvalidDocumentError"]
+
+
+class InvalidDocumentError(ValueError):
+    """A resume the parser must refuse, naming the offending document."""
+
+    def __init__(self, doc_id: str, reason: str):
+        super().__init__(doc_id, reason)
+        self.doc_id = doc_id
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return f"document {self.doc_id}: {self.reason}"
 
 
 @dataclass

@@ -9,7 +9,7 @@ from .confusion import confusion_matrix, format_confusion, most_confused_pairs
 from .area_metrics import AreaEvaluation, area_prf_by_tag, area_prf_micro
 from .reporting import format_prf_table, format_stats_table, format_table
 from .seq_metrics import PrfScore, entity_prf, entity_prf_by_tag, token_accuracy
-from .timing import LatencyStats, StageProfile, measure_latency, time_per_resume
+from .timing import LatencyStats, measure_latency, time_per_resume
 
 __all__ = [
     "PrfScore",
@@ -21,7 +21,6 @@ __all__ = [
     "area_prf_micro",
     "time_per_resume",
     "LatencyStats",
-    "StageProfile",
     "measure_latency",
     "format_table",
     "format_prf_table",

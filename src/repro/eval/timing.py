@@ -1,29 +1,28 @@
 """Inference timing and profiling (the Time/Resume row of Table II).
 
-Three layers of measurement:
+Two layers of measurement:
 
 * :func:`time_per_resume` — the original scalar: mean seconds per document.
 * :func:`measure_latency` + :class:`LatencyStats` — distributional view
   (p50/p95 per-unit latency, docs/sec throughput) over repeated passes.
-* :class:`StageProfile` — wall-time breakdown across named pipeline stages
-  (``featurize`` / ``encode`` / ``decode``), fed to
-  :meth:`repro.core.BlockClassifier.predict_batch` via its ``profile``
-  argument.  Since the :mod:`repro.obs` telemetry layer landed this is a
-  deprecated shim over :class:`repro.obs.Tracer`.
+
+Per-stage wall time comes from :mod:`repro.obs` spans: wrap regions in
+spans of a :class:`repro.obs.Tracer` (or run under a telemetry session,
+whose ``predict_batch`` records ``featurize`` / ``encode`` / ``decode``)
+and read :meth:`repro.obs.Tracer.breakdown`.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..docmodel.document import ResumeDocument
 
-__all__ = ["LatencyStats", "StageProfile", "measure_latency", "time_per_resume"]
+__all__ = ["LatencyStats", "measure_latency", "time_per_resume"]
 
 
 def time_per_resume(
@@ -103,51 +102,6 @@ class LatencyStats:
             "p95_seconds": self.p95,
             "throughput_per_second": self.throughput,
         }
-
-
-class StageProfile:
-    """Accumulates wall time per named pipeline stage.
-
-    .. deprecated::
-        ``StageProfile`` is now a thin shim over :class:`repro.obs.Tracer`
-        — there is one tracing implementation in the codebase.  New code
-        should use :func:`repro.obs.trace` (or a :class:`repro.obs.Tracer`
-        directly), which additionally records span nesting, attributes and
-        exception status.  The shim keeps the historical surface
-        (``stage()`` / ``seconds`` / ``calls`` / ``total_seconds`` /
-        ``breakdown()``) for existing callers.
-
-    Any code can wrap a region with ``with profile.stage("encode"): ...``;
-    repeated entries into the same stage accumulate.  The object satisfies
-    the duck-typed ``profile`` argument of
-    :meth:`repro.core.BlockClassifier.predict_batch`.
-    """
-
-    def __init__(self) -> None:
-        from ..obs import Tracer
-
-        self._tracer = Tracer()
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        with self._tracer.span(name):
-            yield
-
-    @property
-    def seconds(self) -> Dict[str, float]:
-        return self._tracer.seconds_by_name()
-
-    @property
-    def calls(self) -> Dict[str, int]:
-        return self._tracer.calls_by_name()
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds.values())
-
-    def breakdown(self) -> Dict[str, Dict[str, float]]:
-        """Per-stage seconds, call counts, and share of the total."""
-        return self._tracer.breakdown()
 
 
 def measure_latency(

@@ -18,7 +18,7 @@ from .layers import Dropout, Embedding, LayerNorm, Linear, Mlp
 from .module import Module, ModuleList, Parameter, Sequential
 from .optim import Adam, AdamW, LinearWarmupSchedule, ParamGroup, Sgd, clip_grad_norm
 from .quantize import QuantizedLinear, dequantize, quantize_model
-from .recurrent import BiLstm, Lstm, LstmCell, fused_lstm_step
+from .recurrent import BiLstm, Lstm, LstmCell
 from .serialization import load_module, load_state, save_module, save_state
 from .tensor import Tensor, as_tensor, concat, is_grad_enabled, no_grad, stack, where
 
@@ -49,7 +49,6 @@ __all__ = [
     "Lstm",
     "LstmCell",
     "BiLstm",
-    "fused_lstm_step",
     "QuantizedLinear",
     "quantize_model",
     "dequantize",

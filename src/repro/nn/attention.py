@@ -9,14 +9,16 @@ Two execution tiers share one set of parameters:
   path builds.  The compositional path is kept as the reference
   implementation (and is still used when attention-weight dropout is
   active, which the fused kernel does not model).
-* **Inference** — under ``no_grad`` the encoder stack routes to
-  allocation-lean raw-``ndarray`` kernels (:meth:`TransformerEncoder`
-  ``fused_inference`` flag): no ``Tensor`` boxing, no graph bookkeeping,
-  and an ``inference_dtype`` knob so the quantized int8 path can run the
-  elementwise tail in float32.  At the default ``float64`` the attention
-  core mirrors the compositional op order exactly (bit-identical); the
-  full encoder layer matches the training-graph forward to one-ulp
-  LayerNorm round-off (its serving kernel uses a fused einsum variance).
+* **Serving** — under ``no_grad`` with dropout inactive, the encoder
+  stack always runs the allocation-lean raw-``ndarray`` kernel
+  :meth:`TransformerEncoder.infer_block`: no ``Tensor`` boxing, no graph
+  bookkeeping, per-row maps over one ``(rows, dim)`` buffer and the
+  attention core per padded group.  ``inference_dtype`` lets the
+  quantized int8 path run the elementwise tail in float32.  At the
+  default ``float64`` the attention core mirrors the compositional op
+  order exactly (bit-identical); the full encoder layer matches the
+  training-graph forward to one-ulp LayerNorm round-off (its serving
+  kernel uses a fused einsum variance).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import init
-from .functional import gelu, gelu_ndarray, masked_fill, softmax, softmax_ndarray
+from .functional import gelu, gelu_ndarray, masked_fill, softmax
 from .layers import Dropout, LayerNorm, Linear
 from .module import Module, ModuleList
 from .tensor import Tensor, is_grad_enabled
@@ -282,37 +284,6 @@ class MultiHeadSelfAttention(Module):
         out += bias_f32
         return out
 
-    def _forward_inference(
-        self, x: np.ndarray, attention_mask: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Forward-only attention on raw arrays — no graph, no boxing.
-
-        Projections go through :meth:`Linear.infer`, so a quantized
-        encoder transparently substitutes its int8 kernels (with the QKV
-        trio further fused into one stacked GEMM).  At float64 the op
-        order mirrors the compositional path bit for bit.
-        """
-        dim = self.dim
-        qkv = self._quantized_qkv(x)
-        if qkv is not None:
-            q = _split_heads_np(qkv[..., :dim], self.num_heads)
-            k = _split_heads_np(qkv[..., dim : 2 * dim], self.num_heads)
-            v = _split_heads_np(qkv[..., 2 * dim :], self.num_heads)
-        else:
-            q = _split_heads_np(self.query.infer(x), self.num_heads)
-            k = _split_heads_np(self.key.infer(x), self.num_heads)
-            v = _split_heads_np(self.value.infer(x), self.num_heads)
-        if q.dtype == np.float64:
-            scores = (q @ k.swapaxes(-1, -2)) / np.sqrt(self.head_dim)
-        else:
-            # Fold 1/sqrt(d) into q — one pass over (…, t, d) instead of
-            # a divide over the O(t^2) score tensor.
-            q = q * q.dtype.type(1.0 / np.sqrt(self.head_dim))
-            scores = q @ k.swapaxes(-1, -2)
-        weights = _masked_softmax_np(scores, attention_mask)
-        context = _merge_heads_np(weights @ v)
-        return self.out.infer(context)
-
     def _infer_block(self, flat, blocks, masks) -> np.ndarray:
         """Attention over a ragged block of sequences sharing one 2-D buffer.
 
@@ -322,7 +293,7 @@ class MultiHeadSelfAttention(Module):
         — per-row maps — run *once* over the whole buffer (one GEMM each,
         or a single stacked int8 GEMM when quantized); only the O(t²)
         attention core runs per group.  Per-row results are bitwise
-        identical to calling :meth:`_forward_inference` group by group.
+        identical to calling this method on each group alone.
         """
         dim = self.dim
         qkv = self._quantized_qkv(flat)
@@ -350,7 +321,10 @@ class MultiHeadSelfAttention(Module):
             if not scaled:
                 scores /= scale
             weights = _masked_softmax_np(scores, mask)
-            context[offset:end] = _merge_heads_np(weights @ v).reshape(n * t, dim)
+            # Each head's context lands straight in its columns of the
+            # shared buffer (no merge-heads copy).
+            out = context[offset:end].reshape(n, t, dim)
+            np.matmul(weights, v, out=_split_heads_np(out, self.num_heads))
         return self.out.infer(context)
 
 
@@ -383,15 +357,6 @@ class TransformerEncoderLayer(Module):
         transformed = self.ffn_out(gelu(self.ffn_in(x)))
         return self.norm2(x + self.dropout(transformed))
 
-    def _forward_inference(
-        self, x: np.ndarray, attention_mask: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Whole-layer forward on raw arrays (dropout must be inactive)."""
-        attended = self.attention._forward_inference(x, attention_mask)
-        x = self.norm1.infer(x + attended)
-        transformed = self.ffn_out.infer(gelu_ndarray(self.ffn_in.infer(x)))
-        return self.norm2.infer(x + transformed)
-
     def _infer_block(self, flat, blocks, masks) -> np.ndarray:
         """Whole layer over a ragged block (see ``_infer_block`` above)."""
         attended = self.attention._infer_block(flat, blocks, masks)
@@ -404,8 +369,7 @@ class TransformerEncoder(Module):
     """A stack of :class:`TransformerEncoderLayer`.
 
     Under ``no_grad`` (and with dropout inactive) the stack runs its
-    allocation-lean fused inference kernels; set ``fused_inference =
-    False`` to force the compositional path (benchmark baselines), and
+    allocation-lean raw-array kernel :meth:`infer_block`; set
     ``inference_dtype`` to ``np.float32`` to run the elementwise tail in
     single precision (the quantized path does this automatically).
     """
@@ -425,9 +389,7 @@ class TransformerEncoder(Module):
             TransformerEncoderLayer(dim, num_heads, ffn_dim, dropout, rng=rng)
             for _ in range(num_layers)
         )
-        #: Route ``no_grad`` forwards to the raw-ndarray kernels.
-        self.fused_inference = True
-        #: Dtype of the fused inference pipeline (float64 = full precision).
+        #: Dtype of the raw-array serving pipeline (float64 = full precision).
         self.inference_dtype = np.float64
 
     def _dropout_inactive(self) -> bool:
@@ -439,11 +401,12 @@ class TransformerEncoder(Module):
     def infer(
         self, x: np.ndarray, attention_mask: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Run the whole stack on a raw array (forward-only kernels)."""
-        data = x.astype(self.inference_dtype, copy=False)
-        for layer in self.layers:
-            data = layer._forward_inference(data, attention_mask)
-        return data
+        """Run the whole stack on a raw ``(b, t, d)`` array: one group of
+        :meth:`infer_block`."""
+        batch, seq, dim = x.shape
+        flat = x.reshape(batch * seq, dim)
+        out = self.infer_block(flat, [(0, batch, seq)], [attention_mask])
+        return out.reshape(batch, seq, dim)
 
     def infer_block(self, flat, blocks, masks) -> np.ndarray:
         """Run the stack over a ragged block of padded sequence groups.
@@ -452,7 +415,7 @@ class TransformerEncoder(Module):
         each group ``(offset, n, t)`` in ``blocks`` spanning ``n·t`` rows;
         ``masks`` holds each group's ``(n, t)`` key mask.  Per-row maps
         run once over the buffer, attention per group — per-row output is
-        bitwise identical to :meth:`infer` on each group separately.
+        bitwise identical to running each group separately.
         """
         data = flat.astype(self.inference_dtype, copy=False)
         for layer in self.layers:
@@ -462,11 +425,7 @@ class TransformerEncoder(Module):
     def forward(
         self, x: Tensor, attention_mask: Optional[np.ndarray] = None
     ) -> Tensor:
-        if (
-            not is_grad_enabled()
-            and self.fused_inference
-            and self._dropout_inactive()
-        ):
+        if not is_grad_enabled() and self._dropout_inactive():
             return Tensor(self.infer(x.data, attention_mask))
         for layer in self.layers:
             x = layer(x, attention_mask=attention_mask)

@@ -43,7 +43,6 @@ __all__ = [
     "quantize_model",
     "dequantize",
     "calibration",
-    "set_fused_inference",
     "quantization_report",
 ]
 
@@ -213,15 +212,6 @@ def calibration(model: Module):
     finally:
         for layer in layers:
             layer.calibrating = False
-
-
-def set_fused_inference(model: Module, enabled: bool) -> None:
-    """Toggle the raw-ndarray encoder kernels on every TransformerEncoder."""
-    from .attention import TransformerEncoder
-
-    for module in model.modules():
-        if isinstance(module, TransformerEncoder):
-            module.fused_inference = enabled
 
 
 def quantization_report(model: Module) -> Dict[str, float]:

@@ -10,71 +10,11 @@ from . import init
 from .module import Module, Parameter
 from .tensor import Tensor, concat, is_grad_enabled, stack
 
-__all__ = ["fused_lstm_step", "LstmCell", "Lstm", "BiLstm"]
+__all__ = ["LstmCell", "Lstm", "BiLstm"]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def fused_lstm_step(
-    x: Tensor,
-    h_prev: Tensor,
-    c_prev: Tensor,
-    weight: Tensor,
-    bias: Tensor,
-) -> Tuple[Tensor, Tensor]:
-    """One LSTM time step as a fused autograd op.
-
-    Runs the whole gate computation — ``[x;h] @ W + b``, the four gate
-    nonlinearities, the cell update and the output — in raw numpy, and
-    returns ``(h, c)`` as two graph nodes that share one cached set of
-    activations.  The compositional cell builds ~15 primitive nodes per
-    step; this builds two.
-
-    Gradients are additive across the two outputs, so each node's
-    backward pushes its own incoming gradient through the shared
-    analytic closure: the ``h`` gradient enters via the output gate and
-    ``tanh(c)``, the ``c`` gradient directly via the cell state.
-    """
-    hd = bias.shape[0] // 4
-    input_dim = x.shape[-1]
-    combined = np.concatenate([x.data, h_prev.data], axis=-1)
-    gates = combined @ weight.data + bias.data
-    i = _sigmoid(gates[:, :hd])
-    f = _sigmoid(gates[:, hd : 2 * hd])
-    g = np.tanh(gates[:, 2 * hd : 3 * hd])
-    o = _sigmoid(gates[:, 3 * hd :])
-    c_data = f * c_prev.data + i * g
-    tanh_c = np.tanh(c_data)
-    h_data = o * tanh_c
-
-    def push(dh: Optional[np.ndarray], dc: np.ndarray) -> None:
-        d_o = np.zeros_like(o) if dh is None else dh * tanh_c * o * (1.0 - o)
-        d_gates = np.concatenate(
-            [
-                dc * g * i * (1.0 - i),
-                dc * c_prev.data * f * (1.0 - f),
-                dc * i * (1.0 - g**2),
-                d_o,
-            ],
-            axis=-1,
-        )
-        weight._accumulate(combined.T @ d_gates)
-        bias._accumulate(d_gates.sum(axis=0))
-        d_combined = d_gates @ weight.data.T
-        x._accumulate(d_combined[:, :input_dim])
-        h_prev._accumulate(d_combined[:, input_dim:])
-        c_prev._accumulate(dc * f)
-
-    def backward_h(grad: np.ndarray) -> None:
-        push(grad, grad * o * (1.0 - tanh_c**2))
-
-    def backward_c(grad: np.ndarray) -> None:
-        push(None, grad)
-
-    parents = (x, h_prev, c_prev, weight, bias)
-    return x._make(h_data, parents, backward_h), x._make(c_data, parents, backward_c)
 
 
 class LstmCell(Module):
@@ -101,13 +41,8 @@ class LstmCell(Module):
     def forward(
         self, x: Tensor, state: Tuple[Tensor, Tensor]
     ) -> Tuple[Tensor, Tensor]:
-        h_prev, c_prev = state
-        return fused_lstm_step(x, h_prev, c_prev, self.weight, self.bias)
-
-    def _step_reference(
-        self, x: Tensor, state: Tuple[Tensor, Tensor]
-    ) -> Tuple[Tensor, Tensor]:
-        """Compositional-autograd step (parity reference for the fused op)."""
+        """One compositional-autograd step (the reference the fused
+        recurrence in :meth:`Lstm._forward_train_fused` is checked against)."""
         h_prev, c_prev = state
         combined = concat([x, h_prev], axis=-1)
         gates = combined @ self.weight + self.bias

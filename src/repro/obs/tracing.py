@@ -9,9 +9,6 @@ The *current* span is tracked per execution context (the same
 ``contextvars`` discipline as :func:`repro.nn.no_grad`), so concurrent
 threads or asyncio tasks each build their own correctly-nested span stack
 while appending to one shared :class:`Tracer`.
-
-This module subsumes the old :class:`repro.eval.timing.StageProfile`,
-which is now a thin shim over a private :class:`Tracer`.
 """
 
 from __future__ import annotations
@@ -38,8 +35,8 @@ __all__ = [
 ]
 
 #: Globally unique span ids — shared across tracers so parent links remain
-#: unambiguous even when a private tracer (e.g. a StageProfile shim) nests
-#: around spans of the installed telemetry session.
+#: unambiguous even when a private tracer (e.g. a benchmark's stage timer)
+#: nests around spans of the installed telemetry session.
 _SPAN_IDS = itertools.count(1)
 
 #: The innermost open span of the current execution context.
@@ -309,9 +306,8 @@ class Tracer:
     def breakdown(self) -> Dict[str, Dict[str, float]]:
         """Per-name seconds, call counts, and share of the summed total.
 
-        The same shape :meth:`repro.eval.timing.StageProfile.breakdown`
-        always produced — fractions are of the *sum over names*, so nested
-        spans each count their full (inclusive) duration.
+        Fractions are of the *sum over names*, so nested spans each count
+        their full (inclusive) duration.
         """
         seconds = self.seconds_by_name()
         calls = self.calls_by_name()

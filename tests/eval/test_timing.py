@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.eval import LatencyStats, StageProfile, measure_latency, time_per_resume
+from repro.eval import LatencyStats, measure_latency, time_per_resume
+from repro.obs import Tracer
 
 
 class TestLatencyStats:
@@ -42,26 +43,29 @@ class TestLatencyStats:
 
 
 class TestStageProfile:
+    """Per-stage wall time comes from accumulated spans of an obs.Tracer."""
+
     def test_accumulates_across_entries(self):
-        profile = StageProfile()
+        tracer = Tracer()
         for _ in range(3):
-            with profile.stage("encode"):
+            with tracer.span("encode"):
                 time.sleep(0.001)
-        with profile.stage("decode"):
+        with tracer.span("decode"):
             time.sleep(0.001)
-        assert profile.calls == {"encode": 3, "decode": 1}
-        assert profile.seconds["encode"] > 0
-        breakdown = profile.breakdown()
+        assert tracer.calls_by_name() == {"encode": 3, "decode": 1}
+        assert tracer.seconds_by_name()["encode"] > 0
+        breakdown = tracer.breakdown()
         assert set(breakdown) == {"encode", "decode"}
         total_fraction = sum(entry["fraction"] for entry in breakdown.values())
         assert total_fraction == pytest.approx(1.0)
 
     def test_records_time_even_when_stage_raises(self):
-        profile = StageProfile()
+        tracer = Tracer()
         with pytest.raises(RuntimeError):
-            with profile.stage("encode"):
+            with tracer.span("encode"):
                 raise RuntimeError("boom")
-        assert profile.calls["encode"] == 1
+        assert tracer.calls_by_name()["encode"] == 1
+        assert tracer.breakdown()["encode"]["calls"] == 1
 
 
 class TestMeasureLatency:

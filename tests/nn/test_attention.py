@@ -96,6 +96,7 @@ class TestInferenceKernels:
     """Raw-ndarray inference kernels vs the compositional graph path."""
 
     def test_forward_inference_bitwise_at_float64(self):
+        # The serving kernel on a single group is the whole-batch forward.
         attn = make_attention()
         attn.eval()
         x = RNG.normal(size=(2, 6, 16))
@@ -103,8 +104,8 @@ class TestInferenceKernels:
         expected = attn._forward_reference(
             Tensor(x), attention_mask=mask
         ).numpy()
-        got = attn._forward_inference(x, attention_mask=mask)
-        np.testing.assert_array_equal(got, expected)
+        got = attn._infer_block(x.reshape(12, 16), [(0, 2, 6)], [mask])
+        np.testing.assert_array_equal(got.reshape(2, 6, 16), expected)
 
     def test_infer_block_matches_per_group_inference(self):
         attn = make_attention()
@@ -121,10 +122,10 @@ class TestInferenceKernels:
         flat = np.concatenate([c.reshape(-1, 16) for c in chunks])
         out = attn._infer_block(flat, blocks, masks)
         for (start, n, t), chunk, mask in zip(blocks, chunks, masks):
-            expected = attn._forward_inference(chunk, attention_mask=mask)
-            np.testing.assert_array_equal(
-                out[start : start + n * t].reshape(n, t, 16), expected
+            expected = attn._infer_block(
+                chunk.reshape(n * t, 16), [(0, n, t)], [mask]
             )
+            np.testing.assert_array_equal(out[start : start + n * t], expected)
 
     def test_encoder_infer_matches_compositional_stack(self):
         # LayerNorm.infer computes its variance as a fused einsum, which
@@ -136,9 +137,7 @@ class TestInferenceKernels:
         enc.eval()
         x = RNG.normal(size=(2, 5, 16))
         mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]])
-        enc.fused_inference = False
-        expected = enc(Tensor(x), attention_mask=mask).numpy()
-        enc.fused_inference = True
+        expected = enc(Tensor(x), attention_mask=mask).numpy()  # grad enabled
         np.testing.assert_allclose(
             enc.infer(x, attention_mask=mask), expected, rtol=0, atol=1e-13
         )

@@ -6,6 +6,7 @@ import pytest
 from repro.nn import (
     Linear,
     Module,
+    ModuleList,
     MultiHeadSelfAttention,
     Tensor,
     TransformerEncoder,
@@ -138,11 +139,15 @@ class TestModelSwap:
         assert q.quantization_report(model)["quantize.calibrated_layers"] == 1.0
 
     def test_set_fused_inference_toggles_stacks(self):
-        encoder = TransformerEncoder(2, 16, 2, dropout=0.0)
-        q.set_fused_inference(encoder, False)
-        assert encoder.fused_inference is False
-        q.set_fused_inference(encoder, True)
-        assert encoder.fused_inference is True
+        # Every stack in a model flips its serving dtype, not just the root.
+        model = ModuleList(
+            [TransformerEncoder(2, 16, 2, dropout=0.0),
+             TransformerEncoder(1, 16, 4, dropout=0.0)]
+        )
+        q.quantize_model(model)
+        assert [m.inference_dtype for m in model] == [np.float32, np.float32]
+        q.dequantize(model)
+        assert [m.inference_dtype for m in model] == [np.float64, np.float64]
 
 
 class TestStackedQkv:

@@ -60,40 +60,34 @@ class TestLstm:
 
 
 class TestFusedStepAgainstReference:
-    """The fused per-timestep gate op must match the compositional step."""
+    """One step of the fused recurrence must match the compositional cell."""
 
     def test_outputs_and_gradients_match(self):
-        from repro.nn import fused_lstm_step
-
-        cell = LstmCell(3, 5, rng=np.random.default_rng(21))
+        lstm = Lstm(3, 5, rng=np.random.default_rng(21))
         x0 = RNG.normal(size=(4, 3))
-        h0 = RNG.normal(size=(4, 5))
-        c0 = RNG.normal(size=(4, 5))
         wh = RNG.normal(size=(4, 5))
-        wc = RNG.normal(size=(4, 5))
 
         def run(step):
-            cell.zero_grad()
+            lstm.zero_grad()
             x = Tensor(x0.copy(), requires_grad=True)
-            h_prev = Tensor(h0.copy(), requires_grad=True)
-            c_prev = Tensor(c0.copy(), requires_grad=True)
-            h, c = step(x, h_prev, c_prev)
-            ((h * Tensor(wh)).sum() + (c * Tensor(wc)).sum()).backward()
+            h = step(x)
+            (h * Tensor(wh)).sum().backward()
             return (
                 h.numpy().copy(),
-                c.numpy().copy(),
                 x.grad.copy(),
-                h_prev.grad.copy(),
-                c_prev.grad.copy(),
-                cell.weight.grad.copy(),
-                cell.bias.grad.copy(),
+                lstm.cell.weight.grad.copy(),
+                lstm.cell.bias.grad.copy(),
             )
 
-        fused = run(
-            lambda x, h, c: fused_lstm_step(x, h, c, cell.weight, cell.bias)
-        )
-        reference = run(lambda x, h, c: cell._step_reference(x, (h, c)))
-        for f, r in zip(fused, reference):
+        def fused_step(x):
+            return lstm._forward_train_fused(x.reshape(4, 1, 3)).reshape(4, 5)
+
+        def cell_step(x):
+            zeros = (Tensor(np.zeros((4, 5))), Tensor(np.zeros((4, 5))))
+            h, _ = lstm.cell(x, zeros)
+            return h
+
+        for f, r in zip(run(fused_step), run(cell_step)):
             np.testing.assert_allclose(f, r, atol=1e-9)
 
 

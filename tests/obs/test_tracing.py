@@ -3,7 +3,6 @@
 import pytest
 
 from repro import obs
-from repro.eval import StageProfile
 from repro.obs import Tracer, current_span
 
 
@@ -117,26 +116,29 @@ class TestAggregation:
 
 
 class TestStageProfileShim:
+    """A private Tracer times named stages: accumulation and breakdown()."""
+
     def test_delegates_to_tracer(self):
-        profile = StageProfile()
-        with profile.stage("encode"):
+        tracer = Tracer()
+        with tracer.span("encode"):
             pass
-        with profile.stage("encode"):
+        with tracer.span("encode"):
             pass
-        assert profile.calls == {"encode": 2}
-        assert profile.seconds["encode"] >= 0.0
-        assert profile.total_seconds == pytest.approx(
-            sum(profile.seconds.values())
+        assert tracer.calls_by_name() == {"encode": 2}
+        assert tracer.seconds_by_name()["encode"] >= 0.0
+        breakdown = tracer.breakdown()
+        assert breakdown["encode"]["calls"] == 2
+        assert breakdown["encode"]["seconds"] == pytest.approx(
+            sum(tracer.seconds_by_name().values())
         )
-        assert profile.breakdown()["encode"]["calls"] == 2
 
     def test_nests_under_session_spans(self):
-        profile = StageProfile()
+        tracer = Tracer()
         session = obs.Telemetry()
         with obs.use_telemetry(session):
             with obs.trace("predict_batch"):
-                with profile.stage("encode"):
+                with tracer.span("encode"):
                     pass
         (outer,) = session.tracer.finished()
-        (stage,) = profile._tracer.finished()
+        (stage,) = tracer.finished()
         assert stage.parent_id == outer.span_id

@@ -13,7 +13,13 @@ from repro.core import (
     ResuFormerConfig,
 )
 from repro.corpus import ContentConfig, ResumeGenerator, extract_block_examples
-from repro.docmodel import BLOCK_ENTITIES, BLOCK_SCHEME, ResumeDocument
+from repro.docmodel import (
+    BLOCK_ENTITIES,
+    BLOCK_SCHEME,
+    InvalidDocumentError,
+    Page,
+    ResumeDocument,
+)
 from repro.ner import NerConfig, NerTagger
 from repro.pipeline import ParsedResume, ResumeParser
 from repro.text import WordPieceTokenizer
@@ -202,6 +208,27 @@ class TestBlankResume:
         parsed = parser.parse_batch([docs[0], _blank(docs), docs[1], docs[2]])
         assert parsed[1].blocks == []
         assert [p.to_dict() for i, p in enumerate(parsed) if i != 1] == expected
+
+
+class TestInvalidDocument:
+    @pytest.mark.parametrize("defect", ["zero-width", "missing-page"])
+    def test_parse_batch_raises_typed_error(self, world, defect):
+        docs, classifier, tagger = world
+        source = docs[0]
+        if defect == "zero-width":
+            pages = [Page(p.number, 0.0, p.height) for p in source.pages]
+        else:
+            pages = [Page(p.number + 100, p.width, p.height) for p in source.pages]
+        bad = ResumeDocument(defect, pages, source.sentences)
+        parser = ResumeParser(classifier, tagger)
+        for batch in ([bad], [docs[1], bad, docs[2]]):
+            with pytest.raises(InvalidDocumentError) as raised:
+                parser.parse_batch(batch)
+            assert raised.value.doc_id == defect
+            assert defect in str(raised.value)
+        assert isinstance(raised.value, ValueError)
+        # A blank resume is never featurised, so its pages are never read.
+        assert parser.parse(ResumeDocument("blank", pages, [])).blocks == []
 
 
 class TestPipelineTelemetry:
