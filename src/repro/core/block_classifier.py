@@ -9,6 +9,7 @@ hierarchical encoder and a fast one for the randomly initialised head.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -347,163 +348,38 @@ class BlockTrainer:
         stepping, so the effective batch is ``batch_size *
         grad_accumulation`` without growing the padded forward pass.
 
-        ``num_workers >= 1`` switches to synchronous data-parallel steps
-        (``repro.parallel``): each mini-batch is sharded across worker
+        ``num_workers >= 1`` takes each step data-parallel
+        (``repro.parallel``): the mini-batch is sharded across worker
         replicas and the weighted-mean all-reduce reproduces the exact
         single-replica gradient, so the trained parameters are identical
         for every worker count (with ``dropout=0``; see docs/API.md §14).
+        Batch order, validation and early stopping are this one loop
+        either way; only :meth:`_gradient_step` differs.
         """
-        if num_workers:
-            if grad_accumulation != 1:
-                raise ValueError(
-                    "grad_accumulation is not supported with num_workers; "
-                    "raise batch_size instead (shards keep the padded "
-                    "forward pass small)"
-                )
-            return self._fit_parallel(
-                train, validation, epochs=epochs, patience=patience,
-                batch_size=batch_size, num_workers=num_workers,
-            )
-        features = [
-            (self.model.featurizer.featurize(item.document), item.labels)
-            for item in train
-        ]
         # Chunks of similarly-sized documents keep the padded kernels from
         # paying the longest document's cost on every row.
-        lengths = [f.num_sentences for f, _ in features]
-        engine = GradAccumulator(
-            self.optimizer,
-            self.model.parameters(),
-            max_grad_norm=self.max_grad_norm,
-            accumulation=grad_accumulation,
-        )
+        cap = self.model.featurizer.config.max_document_sentences
+        lengths = [min(item.document.num_sentences, cap) for item in train]
         history: Dict[str, List[float]] = {"loss": [], "val_accuracy": []}
         best_score = -np.inf
         best_state = None
         bad_epochs = 0
         telemetry = obs.get_telemetry()
         step_index = 0
-        for epoch_index in range(epochs):
-            epoch_loss = 0.0
-            self.model.train()
-            with obs.trace("block_train.epoch", epoch=epoch_index):
-                for chunk in iter_minibatches(
-                    len(features), batch_size, rng=self.rng, lengths=lengths
-                ):
-                    docs = [features[i][0] for i in chunk]
-                    batch = collate_documents(docs)
-                    labels = collate_labels(docs, [features[i][1] for i in chunk])
-                    loss = self.model.loss_batch(batch, labels)
-                    stepped = engine.backward(loss, weight=len(chunk))
-                    epoch_loss += float(loss.data) * len(chunk)
-                    if telemetry is not None:
-                        step_index += 1
-                        telemetry.metrics.counter("train.documents").inc(len(chunk))
-                        telemetry.event(
-                            "step",
-                            phase="block_train",
-                            step=step_index,
-                            epoch=epoch_index,
-                            losses={"crf": float(loss.data)},
-                            documents=len(chunk),
-                            grad_norm=engine.last_grad_norm if stepped else None,
-                        )
-                engine.flush()
-            history["loss"].append(epoch_loss / max(len(features), 1))
-            if telemetry is not None:
-                telemetry.event(
-                    "epoch",
-                    phase="block_train",
-                    epoch=epoch_index,
-                    loss=history["loss"][-1],
-                )
-
-            if validation:
-                score = self.sentence_accuracy(validation)
-                history["val_accuracy"].append(score)
-                if telemetry is not None:
-                    telemetry.event(
-                        "eval",
-                        phase="block_train",
-                        epoch=epoch_index,
-                        val_accuracy=score,
-                    )
-                if score > best_score:
-                    best_score, bad_epochs = score, 0
-                    best_state = self.model.state_dict()
-                else:
-                    bad_epochs += 1
-                    if bad_epochs >= patience:
-                        break
-        if best_state is not None:
-            self.model.load_state_dict(best_state)
-        return history
-
-    def _fit_parallel(
-        self,
-        train: Sequence[LabeledDocument],
-        validation: Sequence[LabeledDocument],
-        epochs: int,
-        patience: int,
-        batch_size: int,
-        num_workers: int,
-    ) -> Dict[str, List[float]]:
-        """Data-parallel :meth:`fit`: same batch order, sharded gradients.
-
-        The mini-batch sequence comes from the parent's RNG exactly as in
-        single-process training; each batch is sharded across the workers
-        and reduced into one weighted-mean step, so the optimizer sees
-        the same per-batch gradient for every worker count.  Validation
-        sweeps and early stopping stay parent-side.
-        """
-        from ..parallel import (
-            DataParallelEngine,
-            init_block_worker,
-            make_runner,
-            param_layout,
-            param_size,
-            publish_cache_hit_rates,
-        )
-
-        model = self.model
-        documents = [item.document for item in train]
-        cap = model.encoder.config.max_document_sentences
-        lengths = [min(d.num_sentences, cap) for d in documents]
-        parameters = model.parameters()
-        payload = {
-            "config": model.encoder.config,
-            "tokenizer": model.featurizer.tokenizer,
-            "scheme": model.scheme,
-            "lstm_hidden": model.lstm_hidden,
-            "documents": documents,
-            "labels": [item.labels for item in train],
-            "layout": param_layout(parameters),
-        }
-        history: Dict[str, List[float]] = {"loss": [], "val_accuracy": []}
-        best_score = -np.inf
-        best_state = None
-        bad_epochs = 0
-        telemetry = obs.get_telemetry()
-        step_index = 0
-        with make_runner(
-            num_workers, init_block_worker, payload, param_size(parameters)
-        ) as runner:
-            engine = DataParallelEngine(
-                runner, self.optimizer, parameters,
-                max_grad_norm=self.max_grad_norm,
-            )
+        workers = {"workers": num_workers} if num_workers else {}
+        with self._gradient_step(
+            train, grad_accumulation, num_workers
+        ) as (step, flush):
             for epoch_index in range(epochs):
                 epoch_loss = 0.0
-                with obs.trace(
-                    "block_train.epoch", epoch=epoch_index, workers=num_workers
-                ):
+                self.model.train()
+                with obs.trace("block_train.epoch", epoch=epoch_index, **workers):
                     for chunk in iter_minibatches(
-                        len(documents), batch_size, rng=self.rng, lengths=lengths
+                        len(train), batch_size, rng=self.rng, lengths=lengths
                     ):
-                        results, batch_loss = engine.grad_step("grad", chunk)
-                        publish_cache_hit_rates(results)
-                        if batch_loss is not None:
-                            epoch_loss += batch_loss * len(chunk)
+                        loss, grad_norm = step(chunk)
+                        if loss is not None:
+                            epoch_loss += loss * len(chunk)
                         if telemetry is not None:
                             step_index += 1
                             telemetry.metrics.counter("train.documents").inc(
@@ -514,11 +390,12 @@ class BlockTrainer:
                                 phase="block_train",
                                 step=step_index,
                                 epoch=epoch_index,
-                                losses={"crf": batch_loss},
+                                losses={"crf": loss},
                                 documents=len(chunk),
-                                grad_norm=engine.last_grad_norm,
+                                grad_norm=grad_norm,
                             )
-                history["loss"].append(epoch_loss / max(len(documents), 1))
+                    flush()
+                history["loss"].append(epoch_loss / max(len(train), 1))
                 if telemetry is not None:
                     telemetry.event(
                         "epoch",
@@ -526,6 +403,7 @@ class BlockTrainer:
                         epoch=epoch_index,
                         loss=history["loss"][-1],
                     )
+
                 if validation:
                     score = self.sentence_accuracy(validation)
                     history["val_accuracy"].append(score)
@@ -546,6 +424,87 @@ class BlockTrainer:
         if best_state is not None:
             self.model.load_state_dict(best_state)
         return history
+
+    @contextmanager
+    def _gradient_step(
+        self,
+        train: Sequence[LabeledDocument],
+        grad_accumulation: int,
+        num_workers: int,
+    ):
+        """Build :meth:`fit`'s gradient step; yields ``(step, flush)``.
+
+        ``step(chunk)`` takes one gradient step over the training items
+        indexed by ``chunk`` and returns ``(mean loss, grad norm)``, the
+        norm None when no optimizer step was taken; ``flush()`` closes an
+        epoch.  In process the documents are featurised here and each
+        batch backpropagates through a :class:`GradAccumulator`.  With
+        ``num_workers >= 1`` each batch is sharded across worker replicas
+        and reduced into one weighted-mean step, so the optimizer sees the
+        same per-batch gradient for every worker count.
+        """
+        model = self.model
+        parameters = model.parameters()
+        if not num_workers:
+            features = [
+                (model.featurizer.featurize(item.document), item.labels)
+                for item in train
+            ]
+            engine = GradAccumulator(
+                self.optimizer,
+                parameters,
+                max_grad_norm=self.max_grad_norm,
+                accumulation=grad_accumulation,
+            )
+
+            def step(chunk):
+                docs = [features[i][0] for i in chunk]
+                batch = collate_documents(docs)
+                labels = collate_labels(docs, [features[i][1] for i in chunk])
+                loss = model.loss_batch(batch, labels)
+                stepped = engine.backward(loss, weight=len(chunk))
+                return float(loss.data), engine.last_grad_norm if stepped else None
+
+            yield step, engine.flush
+            return
+        if grad_accumulation != 1:
+            raise ValueError(
+                "grad_accumulation is not supported with num_workers; "
+                "raise batch_size instead (shards keep the padded "
+                "forward pass small)"
+            )
+        from ..parallel import (
+            DataParallelEngine,
+            init_block_worker,
+            make_runner,
+            param_layout,
+            param_size,
+            publish_cache_hit_rates,
+        )
+
+        payload = {
+            "config": model.encoder.config,
+            "tokenizer": model.featurizer.tokenizer,
+            "scheme": model.scheme,
+            "lstm_hidden": model.lstm_hidden,
+            "documents": [item.document for item in train],
+            "labels": [item.labels for item in train],
+            "layout": param_layout(parameters),
+        }
+        with make_runner(
+            num_workers, init_block_worker, payload, param_size(parameters)
+        ) as runner:
+            engine = DataParallelEngine(
+                runner, self.optimizer, parameters,
+                max_grad_norm=self.max_grad_norm,
+            )
+
+            def step(chunk):
+                results, batch_loss = engine.grad_step("grad", chunk)
+                publish_cache_hit_rates(results)
+                return batch_loss, engine.last_grad_norm
+
+            yield step, lambda: None
 
     def sentence_accuracy(
         self, items: Sequence[LabeledDocument], batch_size: int = 8

@@ -23,8 +23,10 @@ remain as the reference implementations the parity tests compare against.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -33,7 +35,6 @@ import numpy as np
 from .. import obs
 from ..docmodel.document import ResumeDocument
 from ..nn import AdamW, Linear, Module, Parameter, ParamGroup, Tensor
-from ..nn import clip_grad_norm
 from ..nn import init as nn_init
 from ..nn.functional import cross_entropy, log_softmax, masked_fill
 from ..text.vocab import SPECIAL_TOKENS
@@ -531,7 +532,7 @@ class Pretrainer:
         }
 
     def _emit_step(
-        self, telemetry, step: int, losses: Dict[str, float],
+        self, telemetry, losses: Dict[str, float],
         documents: int, grad_norm: Optional[float] = None,
     ) -> None:
         """Publish one pre-training step: raw and λ-weighted loss series.
@@ -543,6 +544,7 @@ class Pretrainer:
         the Eq. 7 contrastive and next-sentence objectives for degenerate
         solutions.
         """
+        self._steps_emitted += 1
         for name, value in losses.items():
             # Objective names are the fixed {wp, cl, ns, total} loss-term
             # set, not per-item values — bounded cardinality.
@@ -553,35 +555,43 @@ class Pretrainer:
         telemetry.event(
             "step",
             phase="pretrain",
-            step=step,
+            step=self._steps_emitted,
             losses=dict(losses),
             weighted_losses=self._lambda_weighted(losses),
             documents=documents,
             grad_norm=grad_norm,
         )
 
+    def _local_step(
+        self,
+        engine: GradAccumulator,
+        batch: Sequence[DocumentFeatures],
+        weight: float,
+    ) -> Tuple[Dict[str, float], Optional[float]]:
+        """Forward the active objectives over ``batch`` and backpropagate
+        the Eq. 7 total through ``engine``; returns ``(losses, grad_norm)``,
+        the norm None when no optimizer step was taken."""
+        with obs.trace("pretrain.step", documents=len(batch)):
+            losses, total = self.pretrain_losses(batch)
+            if total is None:
+                return losses, None
+            stepped = engine.backward(total, weight=weight)
+            losses["total"] = float(total.data)
+        return losses, engine.last_grad_norm if stepped else None
+
     def pretrain_step(
         self, batch: Sequence[DocumentFeatures]
     ) -> Dict[str, float]:
         """One optimiser step over a batch of documents; returns losses."""
-        with obs.trace("pretrain.step", documents=len(batch)):
-            losses, total = self.pretrain_losses(batch)
-            if total is None:
-                return losses
-            self.optimizer.zero_grad()
-            total.backward()
-            grad_norm = clip_grad_norm(
-                self.encoder.parameters() + self.heads.parameters(),
-                self.max_grad_norm,
-            )
-            self.optimizer.step()
-        losses["total"] = float(total.data)
+        engine = GradAccumulator(
+            self.optimizer,
+            self.encoder.parameters() + self.heads.parameters(),
+            max_grad_norm=self.max_grad_norm,
+        )
+        losses, grad_norm = self._local_step(engine, batch, weight=1.0)
         telemetry = obs.get_telemetry()
-        if telemetry is not None:
-            self._steps_emitted += 1
-            self._emit_step(
-                telemetry, self._steps_emitted, losses, len(batch), grad_norm
-            )
+        if telemetry is not None and "total" in losses:
+            self._emit_step(telemetry, losses, len(batch), grad_norm)
         return losses
 
     def fit(
@@ -599,82 +609,84 @@ class Pretrainer:
         batch without growing the padded forward pass.  Note that SCL's
         cross-batch pooling still spans one mini-batch at a time.
 
-        ``num_workers >= 1`` switches to synchronous data-parallel steps:
-        batches shard across worker replicas, corruption/slot/anchor draws
-        move to a per-document seeded discipline (worker-count invariant),
-        and SCL's cross-batch InfoNCE is computed globally by the parent
-        from gathered slot rows — so the objective is *not* approximated
-        by sharding, and final parameters are identical for every worker
-        count (with ``dropout=0``; see docs/API.md §14).
+        ``num_workers >= 1`` takes each step data-parallel: batches shard
+        across worker replicas, corruption/slot/anchor draws move to a
+        per-document seeded discipline (worker-count invariant), and
+        SCL's cross-batch InfoNCE is computed globally by the parent from
+        gathered slot rows — so the objective is *not* approximated by
+        sharding, and final parameters are identical for every worker
+        count (with ``dropout=0``; see docs/API.md §14).  Batch order and
+        telemetry are this one loop either way; only
+        :meth:`_gradient_step` differs.
         """
-        if num_workers:
-            if grad_accumulation != 1:
-                raise ValueError(
-                    "grad_accumulation is not supported with num_workers; "
-                    "raise batch_size instead (SCL pools the whole "
-                    "effective batch either way)"
-                )
-            return self._fit_parallel(
-                documents, epochs=epochs, batch_size=batch_size,
-                num_workers=num_workers,
-            )
-        features = [self.featurizer.featurize(d) for d in documents]
-        engine = GradAccumulator(
-            self.optimizer,
-            self.encoder.parameters() + self.heads.parameters(),
-            max_grad_norm=self.max_grad_norm,
-            accumulation=grad_accumulation,
-        )
-        lengths = [f.num_sentences for f in features]
+        documents = list(documents)
+        cap = self.featurizer.config.max_document_sentences
+        lengths = [min(d.num_sentences, cap) for d in documents]
         history: List[Dict[str, float]] = []
         telemetry = obs.get_telemetry()
-        for epoch_index in range(epochs):
-            with obs.trace("pretrain.epoch", epoch=epoch_index):
-                for chunk in iter_minibatches(
-                    len(features), batch_size, rng=self.rng, lengths=lengths
-                ):
-                    batch = [features[i] for i in chunk]
-                    self.encoder.train()
-                    with obs.trace("pretrain.step", documents=len(batch)):
-                        losses, total = self.pretrain_losses(batch)
-                        stepped = False
-                        if total is not None:
-                            stepped = engine.backward(total, weight=len(batch))
-                            losses["total"] = float(total.data)
-                    history.append(losses)
-                    if telemetry is not None:
-                        self._steps_emitted += 1
-                        self._emit_step(
-                            telemetry,
-                            self._steps_emitted,
-                            losses,
-                            len(batch),
-                            engine.last_grad_norm if stepped else None,
-                        )
-                engine.flush()
-            if telemetry is not None:
-                telemetry.event("epoch", phase="pretrain", epoch=epoch_index)
+        workers = {"workers": num_workers} if num_workers else {}
+        with self._gradient_step(
+            documents, grad_accumulation, num_workers
+        ) as (step, flush):
+            for epoch_index in range(epochs):
+                with obs.trace("pretrain.epoch", epoch=epoch_index, **workers):
+                    for chunk in iter_minibatches(
+                        len(documents), batch_size, rng=self.rng, lengths=lengths
+                    ):
+                        losses, grad_norm = step(chunk)
+                        history.append(losses)
+                        if telemetry is not None:
+                            self._emit_step(
+                                telemetry, losses, len(chunk), grad_norm
+                            )
+                    flush()
+                if telemetry is not None:
+                    telemetry.event("epoch", phase="pretrain", epoch=epoch_index)
         return history
 
-    # ------------------------------------------------------------------
-    # Data-parallel training (repro.parallel)
-    # ------------------------------------------------------------------
-    def _fit_parallel(
+    @contextmanager
+    def _gradient_step(
         self,
-        documents: Iterable[ResumeDocument],
-        epochs: int,
-        batch_size: int,
+        documents: List[ResumeDocument],
+        grad_accumulation: int,
         num_workers: int,
-    ) -> List[Dict[str, float]]:
-        """Data-parallel :meth:`fit` over sharded worker replicas.
+    ):
+        """Build :meth:`fit`'s gradient step; yields ``(step, flush)``.
 
-        Batch order still comes from the parent's RNG; all per-document
-        randomness (corruption, slots, anchors) moves to the seeded
-        per-document discipline of :mod:`repro.parallel.randomness`, so
-        every worker count draws identical randomness.  Each step is the
-        two-phase protocol of
-        :class:`repro.parallel.workers.PretrainWorkerContext`.
+        ``step(chunk)`` takes one optimizer step over the documents
+        indexed by ``chunk`` and returns ``(losses, grad_norm)``;
+        ``flush()`` closes an epoch.  In process the documents are
+        featurised here and each batch runs :meth:`_local_step`.  With
+        ``num_workers >= 1`` each batch runs the two-phase protocol of
+        :meth:`_parallel_step` over worker replicas, whose per-document
+        randomness (corruption, slots, anchors) follows the seeded
+        discipline of :mod:`repro.parallel.randomness`, so every worker
+        count draws identical randomness.
         """
+        parameters = self.encoder.parameters() + self.heads.parameters()
+        if not num_workers:
+            features = [self.featurizer.featurize(d) for d in documents]
+            engine = GradAccumulator(
+                self.optimizer,
+                parameters,
+                max_grad_norm=self.max_grad_norm,
+                accumulation=grad_accumulation,
+            )
+
+            def step(chunk):
+                self.encoder.train()
+                return self._local_step(
+                    engine, [features[i] for i in chunk], weight=len(chunk)
+                )
+
+            yield step, engine.flush
+            return
+        if grad_accumulation != 1:
+            raise ValueError(
+                "grad_accumulation is not supported with num_workers; "
+                "raise batch_size instead (SCL pools the whole "
+                "effective batch either way)"
+            )
         from ..parallel import (
             DataParallelEngine,
             init_pretrain_worker,
@@ -683,10 +695,6 @@ class Pretrainer:
             param_size,
         )
 
-        documents = list(documents)
-        cap = self.config.max_document_sentences
-        lengths = [min(d.num_sentences, cap) for d in documents]
-        parameters = self.encoder.parameters() + self.heads.parameters()
         payload = {
             "config": self.config,
             "tokenizer": self.featurizer.tokenizer,
@@ -696,9 +704,6 @@ class Pretrainer:
             "documents": documents,
             "layout": param_layout(parameters),
         }
-        history: List[Dict[str, float]] = []
-        telemetry = obs.get_telemetry()
-        step = 0
         with make_runner(
             num_workers, init_pretrain_worker, payload, param_size(parameters)
         ) as runner:
@@ -706,35 +711,18 @@ class Pretrainer:
                 runner, self.optimizer, parameters,
                 max_grad_norm=self.max_grad_norm,
             )
-            for epoch_index in range(epochs):
+            step_counter = itertools.count()
+
+            def step(chunk):
                 with obs.trace(
-                    "pretrain.epoch", epoch=epoch_index, workers=num_workers
+                    "pretrain.step", documents=len(chunk), workers=num_workers
                 ):
-                    for chunk in iter_minibatches(
-                        len(documents), batch_size, rng=self.rng,
-                        lengths=lengths,
-                    ):
-                        with obs.trace(
-                            "pretrain.step", documents=len(chunk),
-                            workers=num_workers,
-                        ):
-                            losses, stepped = self._parallel_step(
-                                engine, chunk, step
-                            )
-                        step += 1
-                        history.append(losses)
-                        if telemetry is not None:
-                            self._steps_emitted += 1
-                            self._emit_step(
-                                telemetry,
-                                self._steps_emitted,
-                                losses,
-                                len(chunk),
-                                engine.last_grad_norm if stepped else None,
-                            )
-                if telemetry is not None:
-                    telemetry.event("epoch", phase="pretrain", epoch=epoch_index)
-        return history
+                    losses, stepped = self._parallel_step(
+                        engine, chunk, next(step_counter)
+                    )
+                return losses, engine.last_grad_norm if stepped else None
+
+            yield step, lambda: None
 
     def _parallel_step(
         self, engine, chunk: List[int], step: int

@@ -91,48 +91,20 @@ class Lstm(Module):
         """Training path as ONE autograd node with hand-written BPTT.
 
         The compositional recurrence builds ~15 graph nodes per time step;
-        for 100-step resumes that dominates training time.  This runs the
-        forward in raw numpy, caches per-step activations, and implements
-        backpropagation-through-time analytically.  The input projection of
-        every time step is hoisted into a single GEMM; only the hidden-state
-        projection stays inside the (inherently sequential) time loop.
+        for 100-step resumes that dominates training time.  The forward is
+        the serving recurrence :meth:`_forward_inference`, asked to cache
+        each step's activations; backpropagation-through-time over that
+        cache is written out analytically below.
         """
         data = x.data
-        batch, seq, input_dim = data.shape
+        batch, _, input_dim = data.shape
         hd = self.hidden_dim
         weight = self.cell.weight
         bias = self.cell.bias
         w = weight.data
-        w_h = w[input_dim:]
         valid = None if mask is None else np.asarray(mask, dtype=np.float64)
-
-        # Ragged batches: steps past the longest sequence are pure padding
-        # (masking is suffix-only), where h/c are zeroed anyway — skip them.
-        limit = seq if valid is None else int(valid.sum(axis=1).max())
-        steps = list(range(limit - 1, -1, -1) if self.reverse else range(limit))
-        xw = data.reshape(batch * seq, input_dim) @ w[:input_dim]
-        xw = xw.reshape(batch, seq, 4 * hd) + bias.data
-        h = np.zeros((batch, hd))
-        c = np.zeros((batch, hd))
-        outputs = np.zeros((batch, seq, hd))
         cache = {}
-        for t in steps:
-            h_prev = h
-            gates = xw[:, t] + h_prev @ w_h
-            i = _sigmoid(gates[:, :hd])
-            f = _sigmoid(gates[:, hd : 2 * hd])
-            g = np.tanh(gates[:, 2 * hd : 3 * hd])
-            o = _sigmoid(gates[:, 3 * hd :])
-            c_prev = c
-            c = f * c_prev + i * g
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            if valid is not None:
-                step = valid[:, t][:, None]
-                h = h * step
-                c = c * step
-            outputs[:, t, :] = h
-            cache[t] = (h_prev, i, f, g, o, c_prev, tanh_c)
+        outputs = self._forward_inference(data, mask, cache=cache)
 
         def backward(grad: np.ndarray) -> None:
             grad_x = np.zeros_like(data)
@@ -140,7 +112,7 @@ class Lstm(Module):
             grad_b = np.zeros_like(bias.data)
             dh_next = np.zeros((batch, hd))
             dc_next = np.zeros((batch, hd))
-            for t in reversed(steps):
+            for t in reversed(cache):
                 h_prev, i, f, g, o, c_prev, tanh_c = cache[t]
                 dh = grad[:, t, :] + dh_next
                 dc = dc_next
@@ -184,7 +156,10 @@ class Lstm(Module):
         return stack(outputs, axis=1)
 
     def _forward_inference(
-        self, x: np.ndarray, mask: Optional[np.ndarray] = None
+        self,
+        x: np.ndarray,
+        mask: Optional[np.ndarray] = None,
+        cache: Optional[dict] = None,
     ) -> np.ndarray:
         """Fused numpy recurrence — no autograd dispatch on the hot path.
 
@@ -193,6 +168,8 @@ class Lstm(Module):
         plus elementwise gates, so batching documents amortises the python
         loop across the whole batch.  The recurrence follows the input
         dtype, so a float32 serving pipeline stays narrow end to end.
+        A ``cache`` dict receives each step's activations, keyed by time
+        step in processing order — the input of the training node's BPTT.
         """
         batch, seq, input_dim = x.shape
         hd = self.hidden_dim
@@ -208,22 +185,27 @@ class Lstm(Module):
         h = np.zeros((batch, hd), dtype=x.dtype)
         c = np.zeros((batch, hd), dtype=x.dtype)
         outputs = np.zeros((batch, seq, hd), dtype=x.dtype)
-        # As in training: fully-padded trailing steps contribute zeros.
+        # Ragged batches: steps past the longest sequence are pure padding
+        # (masking is suffix-only), where h/c are zeroed anyway — skip them.
         limit = seq if valid is None else int(valid.sum(axis=1).max())
         steps = range(limit - 1, -1, -1) if self.reverse else range(limit)
         for t in steps:
-            gates = xw[:, t] + h @ w_h
+            h_prev, c_prev = h, c
+            gates = xw[:, t] + h_prev @ w_h
             i = _sigmoid(gates[:, :hd])
             f = _sigmoid(gates[:, hd : 2 * hd])
             g = np.tanh(gates[:, 2 * hd : 3 * hd])
             o = _sigmoid(gates[:, 3 * hd :])
-            c = f * c + i * g
-            h = o * np.tanh(c)
+            c = f * c_prev + i * g
+            tanh_c = np.tanh(c)
+            h = o * tanh_c
             if valid is not None:
                 step = valid[:, t][:, None]
                 h = h * step
                 c = c * step
             outputs[:, t, :] = h
+            if cache is not None:
+                cache[t] = (h_prev, i, f, g, o, c_prev, tanh_c)
         return outputs
 
 

@@ -1,7 +1,8 @@
 """``repro.parallel`` — multi-process data-parallel training and corpus work.
 
-The package turns the single-process trainers into synchronous
-data-parallel ones without changing their math:
+Each trainer runs one training loop; ``num_workers >= 1`` only swaps
+its gradient step for a synchronous data-parallel one built from this
+package, without changing the math:
 
 * :mod:`~repro.parallel.sharding` — the deterministic sharding contract
   (global batch order drawn once, contiguous order-preserving shards);

@@ -1,6 +1,8 @@
 """The data-parallel all-reduce engine shared by the three trainers.
 
-One optimizer step in parallel mode:
+Each trainer's loop builds its gradient step on this engine when
+``num_workers >= 1``; batch order, validation and telemetry stay in the
+loop.  One optimizer step in parallel mode:
 
 1. **broadcast** — serialise the parent model into the shared parameter
    slab (workers copy it into their replicas at task start);
