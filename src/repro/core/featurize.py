@@ -15,6 +15,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -261,27 +262,22 @@ class Featurizer:
     def _compute(self, document: ResumeDocument) -> DocumentFeatures:
         """Build the full feature bundle for one document.
 
-        The python loop only tokenises and collects plain values; every
-        box is normalised and bucketised in one array operation.  Sub-word
-        pieces inherit their source word's box (the LayoutLM convention)
-        and each row's leading ``[CLS]`` carries the merged sentence box.
+        The python loop only checks pages and collects per-sentence values;
+        the document's words are looked up in one pass through the
+        tokenizer's memo, and every token slot, box and layout bucket is
+        built in array operations.  Sub-word pieces inherit their source
+        word's box (the LayoutLM convention) and each row's leading
+        ``[CLS]`` carries the merged sentence box.
         """
         sentences = document.sentences[: self.config.max_document_sentences]
         if not sentences:
             raise ValueError(f"document {document.doc_id} has no sentences")
         cap = self.config.max_sentence_tokens
         m = len(sentences)
-        vocab = self.tokenizer.vocab
-        tokenize = self.tokenizer.tokenize_word
 
-        ids: List[int] = []      # every kept token slot, row-major
-        units: List[int] = []    # its row in the layout table below
-        lengths: List[int] = []
-        coords: List[Tuple[float, float, float, float]] = []  # one per word
-        token_pages: List[int] = []
         extents: List[Tuple[float, float, float, float]] = []  # one per sentence
         counts: List[int] = []
-        visual = np.zeros((m, VISUAL_DIM), dtype=np.float64)
+        visuals: List[Sequence[float]] = []
         for row, sentence in enumerate(sentences):
             try:
                 page = document.page(sentence.page)
@@ -296,49 +292,64 @@ class Featurizer:
                 )
             extents.append((page.width, page.height, page.width, page.height))
             counts.append(len(sentence.tokens))
-            row_ids = [vocab.cls_id]
-            row_units = [row]
-            for token in sentence.tokens:
-                box = token.bbox
-                unit = m + len(coords)
-                coords.append((box.x0, box.y0, box.x1, box.y1))
-                token_pages.append(token.page)
-                pieces = tokenize(token.word.lower())
-                row_ids.extend(vocab.encode(pieces))
-                row_units.extend([unit] * len(pieces))
-            ids.extend(row_ids[:cap])
-            units.extend(row_units[:cap])
-            lengths.append(min(len(row_ids), cap))
-            if sentence.visual is not None:
-                visual[row] = np.asarray(sentence.visual, dtype=np.float64)
-            else:
-                visual[row] = sentence_visual_features(
-                    sentence, page.width, page.height
-                )
+            visuals.append(
+                sentence.visual if sentence.visual is not None
+                else sentence_visual_features(sentence, page.width, page.height)
+            )
+        tokens = list(chain.from_iterable(s.tokens for s in sentences))
+        pieces = list(map(self.tokenizer.word_ids, [token.word for token in tokens]))
+
+        # Row r is [CLS] then its words' pieces, cut at ``cap``.  Each piece
+        # takes its word's row of the layout table below (m + word index)
+        # and each [CLS] its sentence's row.
+        spans = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+        word_starts = np.cumsum(counts) - counts
+        per_row = np.add.reduceat(spans, word_starts)
+        before = np.cumsum(per_row) - per_row
+        full_ids = np.insert(
+            np.fromiter(chain.from_iterable(pieces), dtype=np.int64,
+                        count=int(per_row.sum())),
+            before, self.tokenizer.vocab.cls_id,
+        )
+        full_units = np.insert(
+            np.repeat(np.arange(m, m + len(tokens)), spans), before, np.arange(m)
+        )
+        widths = per_row + 1
+        row_starts = np.cumsum(widths) - widths
+        kept = np.arange(len(full_ids)) - np.repeat(row_starts, widths) < cap
+        ids = full_ids[kept]
+        units = full_units[kept]
+        lengths = np.minimum(widths, cap)
 
         # Normalise onto the [0, 1000] grid exactly as BBox.normalized does
         # (round half to even, then clamp).  Normalisation is monotone, so a
         # sentence's merged box is the min/max of its words' normalised boxes.
         scale = np.repeat(np.array(extents), counts, axis=0)
+        coords = np.fromiter(
+            chain.from_iterable([token.bbox.to_tuple() for token in tokens]),
+            dtype=np.float64, count=4 * len(tokens),
+        ).reshape(-1, 4)
         words = np.clip(
-            np.rint(LAYOUT_SCALE * np.array(coords, dtype=np.float64) / scale),
+            np.rint(LAYOUT_SCALE * coords / scale),
             0, LAYOUT_SCALE,
         ).astype(np.int64)
-        starts = np.cumsum([0] + counts[:-1])
         merged = np.concatenate(
             [
-                np.minimum.reduceat(words[:, :2], starts),
-                np.maximum.reduceat(words[:, 2:], starts),
+                np.minimum.reduceat(words[:, :2], word_starts),
+                np.maximum.reduceat(words[:, 2:], word_starts),
             ],
             axis=1,
         )
         table = self._bucketize(
             np.concatenate([merged, words]),
-            np.array([s.page for s in sentences] + token_pages, dtype=np.int64),
+            np.array(
+                [s.page for s in sentences] + [token.page for token in tokens],
+                dtype=np.int64,
+            ),
         )
 
-        t = max(lengths)
-        mask = np.arange(t) < np.array(lengths)[:, None]
+        t = int(lengths.max())
+        mask = np.arange(t) < lengths[:, None]
         token_ids = np.zeros((m, t), dtype=np.int64)
         token_ids[mask] = ids
         token_layout = np.zeros((m, t, 7), dtype=np.int64)
@@ -350,7 +361,9 @@ class Featurizer:
             token_layout=token_layout,
             token_segments=np.zeros((m, t), dtype=np.int64),
             sentence_layout=table[:m].copy(),  # not a view pinning the word rows
-            sentence_visual=visual,
+            sentence_visual=np.array(visuals, dtype=np.float64).reshape(
+                m, VISUAL_DIM
+            ),
             sentence_positions=positions,
             sentence_segments=(positions % self.config.num_segments).astype(np.int64),
         )

@@ -8,7 +8,7 @@ at each word's *first* sub-word position (the standard alignment scheme).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,11 +31,13 @@ def word_shape(word: str, position: int, total: int, is_initial: bool) -> np.nda
     expose them explicitly, as the CNN-character channels of the paper's
     BiLSTM+CNN+CRF baselines do.
     """
-    return np.array(_shape_row(word, position, total, is_initial))
+    return np.array(
+        _word_columns(word) + [1.0 if is_initial else 0.0, position / max(total, 1)]
+    )
 
 
-def _shape_row(word: str, position: int, total: int, is_initial: bool) -> List[float]:
-    """The :func:`word_shape` values as a plain list."""
+def _word_columns(word: str) -> List[float]:
+    """The :func:`word_shape` columns that depend on the word alone."""
     n = max(len(word), 1)
     digits = sum(map(str.isdigit, word))
     return [
@@ -45,8 +47,6 @@ def _shape_row(word: str, position: int, total: int, is_initial: bool) -> List[f
         1.0 if "@" in word else 0.0,
         1.0 if word and not word.isalnum() else 0.0,
         min(n / 20.0, 1.0),
-        1.0 if is_initial else 0.0,
-        position / max(total, 1),
     ]
 
 
@@ -89,63 +89,93 @@ class NerFeaturizer:
         self.scheme = scheme
         self.max_words = max_words
         self.max_pieces = max_pieces
+        # The word-only shape columns (all but is-initial and position),
+        # memoised per raw word like the tokenizer's piece ids.
+        self._word_shapes: Dict[str, List[float]] = {}
 
     def featurize(self, examples: Sequence[NerExample]) -> NerFeatures:
-        """Batch a list of examples into padded arrays."""
+        """Batch a list of examples into padded arrays.
+
+        The python loop only collects each kept word's piece ids, shape
+        columns and label; the padded arrays are then filled batch-wide.
+        Padding is trimmed to the batch's actual extents — attention cost
+        is quadratic in the piece axis, so static max-size padding would
+        dominate compute for short blocks.
+        """
         if not examples:
             raise ValueError("cannot featurize an empty batch")
-        b = len(examples)
-        piece_ids = np.zeros((b, self.max_pieces), dtype=np.int64)
-        piece_mask = np.zeros((b, self.max_pieces), dtype=np.float64)
-        first_piece = np.zeros((b, self.max_words), dtype=np.int64)
-        word_mask = np.zeros((b, self.max_words), dtype=np.float64)
-        label_ids = np.zeros((b, self.max_words), dtype=np.int64)
-        piece_shape = np.zeros((b, self.max_pieces, SHAPE_DIM))
-
-        vocab = self.tokenizer.vocab
+        cls_id = self.tokenizer.vocab.cls_id
+        word_ids = self.tokenizer.word_ids
+        word_shapes = self._word_shapes
         label_ids_of = {label: i for i, label in enumerate(self.scheme.labels)}
         outside = self.scheme.outside_id
-        for row, example in enumerate(examples):
-            pieces: List[int] = [vocab.cls_id]
-            firsts: List[int] = []
-            # One shape row per word; a word's continuation pieces repeat it
-            # with the is-initial flag cleared.
-            shapes: List[List[float]] = []
-            owner: List[int] = []
-            total = len(example.words)
-            for w, word in enumerate(example.words[: self.max_words]):
-                ids = vocab.encode(self.tokenizer.tokenize_word(word.lower()))
-                if len(pieces) + len(ids) > self.max_pieces:
+        pieces: List[int] = []        # every row's pieces, [CLS] first
+        counts: List[int] = []        # pieces of each kept word, all rows
+        firsts: List[int] = []        # slot of each kept word's first piece
+        shapes: List[List[float]] = []  # word-only columns of each kept word
+        labels: List[int] = []
+        lengths: List[int] = []       # pieces per row, [CLS] included
+        kept: List[int] = []          # kept words per row
+        totals: List[int] = []        # words per example (position scale)
+        for example in examples:
+            pieces.append(cls_id)
+            used = 1
+            start = len(shapes)
+            for word in example.words[: self.max_words]:
+                ids = word_ids(word)
+                if used + len(ids) > self.max_pieces:
                     break
-                firsts.append(len(pieces))
+                firsts.append(used)
+                used += len(ids)
                 pieces.extend(ids)
-                owner.extend([w] * len(ids))
-                shapes.append(_shape_row(word, w, total, is_initial=True))
-            kept = len(firsts)
-            first_piece[row, :kept] = firsts
-            word_mask[row, :kept] = 1.0
-            label_ids[row, :kept] = [
-                label_ids_of.get(label, outside) for label in example.labels[:kept]
-            ]
-            piece_ids[row, : len(pieces)] = pieces
-            piece_mask[row, : len(pieces)] = 1.0
-            if owner:
-                rows = np.array(shapes)[owner]
-                rows[1:, 6] = np.diff(owner) != 0
-                piece_shape[row, 1 : len(pieces)] = rows
+                counts.append(len(ids))
+                shape = word_shapes.get(word)
+                if shape is None:
+                    shape = word_shapes[word] = _word_columns(word)
+                shapes.append(shape)
+            n = len(shapes) - start
+            labels.extend(
+                label_ids_of.get(label, outside) for label in example.labels[:n]
+            )
+            lengths.append(used)
+            kept.append(n)
+            totals.append(max(len(example.words), 1))
 
-        # Trim padding to the batch's actual extents — attention cost is
-        # quadratic in the piece axis, so static max-size padding would
-        # dominate compute for short blocks.
-        max_p = max(int(piece_mask.sum(axis=1).max()), 1)
-        max_w = max(int(word_mask.sum(axis=1).max()), 1)
+        b = len(examples)
+        lengths_arr = np.array(lengths)
+        kept_arr = np.array(kept)
+        max_p = int(lengths_arr.max())
+        max_w = max(int(kept_arr.max()), 1)
+        piece_slots = np.arange(max_p) < lengths_arr[:, None]
+        word_slots = np.arange(max_w) < kept_arr[:, None]
+        piece_ids = np.zeros((b, max_p), dtype=np.int64)
+        piece_ids[piece_slots] = pieces
+        label_ids = np.zeros((b, max_w), dtype=np.int64)
+        label_ids[word_slots] = labels
+        first_piece = np.zeros((b, max_w), dtype=np.int64)
+        first_piece[word_slots] = firsts
+
+        # Every piece after [CLS] repeats its word's shape row; only a word's
+        # first piece carries the is-initial flag.  Kept words are numbered
+        # row-major across the batch.
+        word_row = np.repeat(np.arange(b), kept_arr)
+        word_index = np.arange(len(counts)) - np.repeat(
+            np.cumsum(kept_arr) - kept_arr, kept_arr
+        )
+        owner = np.repeat(np.arange(len(counts)), counts)
+        rows = np.empty((len(owner), SHAPE_DIM))
+        rows[:, :6] = np.array(shapes).reshape(-1, 6)[owner]
+        rows[:, 6] = np.diff(owner, prepend=-1) != 0
+        rows[:, 7] = word_index[owner] / np.array(totals)[word_row[owner]]
+        piece_shape = np.zeros((b, max_p, SHAPE_DIM))
+        piece_shape[piece_slots & (np.arange(max_p) > 0)] = rows
         return NerFeatures(
-            piece_ids[:, :max_p],
-            piece_mask[:, :max_p],
-            first_piece[:, :max_w],
-            word_mask[:, :max_w],
-            label_ids[:, :max_w],
-            piece_shape[:, :max_p],
+            piece_ids,
+            piece_slots.astype(np.float64),
+            first_piece,
+            word_slots.astype(np.float64),
+            label_ids,
+            piece_shape,
         )
 
     def batches(

@@ -188,8 +188,14 @@ class SelfTrainer:
         worker replicas; a mini-batch loss is a token-mean, so shards
         reduce with their valid-token counts as weights and the
         all-reduced gradient is the exact global token-mean gradient for
-        every worker count.
+        every worker count.  ``config.grad_accumulation`` must then be 1.
         """
+        if self.config.num_workers and self.config.grad_accumulation != 1:
+            raise ValueError(
+                "grad_accumulation is not supported with num_workers; "
+                "raise batch_size instead (shards keep the padded "
+                "forward pass small)"
+            )
         model = self.model
         optimizer = self._optimizer(model)
         best_f1 = -1.0

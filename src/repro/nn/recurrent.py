@@ -229,16 +229,58 @@ class BiLstm(Module):
         self.output_dim = 2 * hidden_dim
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+        if not is_grad_enabled():
+            return Tensor(self.infer(x.data, mask))
         fwd = self.forward_lstm(x, mask=mask)
         bwd = self.backward_lstm(x, mask=mask)
         return concat([fwd, bwd], axis=-1)
 
     def infer(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Forward-only bidirectional pass on a raw array (no boxing)."""
-        return np.concatenate(
-            [
-                self.forward_lstm._forward_inference(x, mask),
-                self.backward_lstm._forward_inference(x, mask),
-            ],
-            axis=-1,
-        )
+        """Forward-only bidirectional pass on a raw array (no boxing).
+
+        Both directions advance in one time loop: step ``s`` is the forward
+        direction's time ``s`` and the backward direction's ``limit-1-s``,
+        stacked on a leading direction axis, so each step is one
+        ``(2, batch, hd) @ (2, hd, 4hd)`` matmul plus elementwise gates, and
+        the Python loop runs half as many iterations.
+        Every element sees exactly the operations of
+        :meth:`Lstm._forward_inference`, so the output equals running the two
+        directions separately, bit for bit.
+        """
+        batch, seq, input_dim = x.shape
+        hd = self.forward_lstm.hidden_dim
+        valid = None if mask is None else np.asarray(mask, dtype=x.dtype)
+        limit = seq if valid is None else int(valid.sum(axis=1).max())
+        # Input projections, the backward one pre-reversed: (limit, 2, b, 4hd).
+        xw = np.empty((limit, 2, batch, 4 * hd), dtype=x.dtype)
+        w_h = np.empty((2, hd, 4 * hd), dtype=x.dtype)
+        flat = x.reshape(batch * seq, input_dim)
+        for d, lstm in enumerate((self.forward_lstm, self.backward_lstm)):
+            weight = lstm.cell.weight.data.astype(x.dtype, copy=False)
+            bias = lstm.cell.bias.data.astype(x.dtype, copy=False)
+            proj = (flat @ weight[:input_dim]).reshape(batch, seq, 4 * hd) + bias
+            proj = proj[:, :limit].transpose(1, 0, 2)
+            xw[:, d] = proj if d == 0 else proj[::-1]
+            w_h[d] = weight[input_dim:]
+        if valid is not None:
+            steps = valid[:, :limit].T[:, None, :, None]
+            steps = np.concatenate([steps, steps[::-1]], axis=1)
+        h = np.zeros((2, batch, hd), dtype=x.dtype)
+        c = np.zeros((2, batch, hd), dtype=x.dtype)
+        states = np.empty((limit, 2, batch, hd), dtype=x.dtype)
+        for s in range(limit):
+            gates = xw[s] + h @ w_h
+            # One sigmoid over all four gates (the cell-gate quarter is
+            # unused): elementwise, so each gate's values are unchanged.
+            act = _sigmoid(gates)
+            g = np.tanh(gates[..., 2 * hd : 3 * hd])
+            c = act[..., hd : 2 * hd] * c + act[..., :hd] * g
+            h = act[..., 3 * hd :] * np.tanh(c)
+            if valid is not None:
+                h = h * steps[s]
+                c = c * steps[s]
+            states[s] = h
+        outputs = np.zeros((batch, seq, 2 * hd), dtype=x.dtype)
+        outputs[:, :limit, :hd] = states[:, 0].transpose(1, 0, 2)
+        outputs[:, :limit, hd:] = states[::-1, 1].transpose(1, 0, 2)
+        return outputs

@@ -137,10 +137,17 @@ def save_parser(parser: ResumeParser, directory: str) -> None:
 
 
 def load_parser(directory: str) -> ResumeParser:
-    """Reconstruct a parser saved by :func:`save_parser`."""
+    """Reconstruct a parser saved by :func:`save_parser`.
+
+    When both stages were trained on the same vocabulary the tagger reuses
+    the block classifier's tokenizer, so one word-id memo serves both.
+    """
     classifier = load_block_classifier(os.path.join(directory, "block_classifier"))
     tagger: Optional[NerTagger] = None
     ner_dir = os.path.join(directory, "ner_tagger")
     if os.path.isdir(ner_dir):
         tagger = load_ner_tagger(ner_dir)
+        shared = classifier.featurizer.tokenizer
+        if tagger.featurizer.tokenizer.vocab.tokens() == shared.vocab.tokens():
+            tagger.featurizer.tokenizer = shared
     return ResumeParser(classifier, tagger)

@@ -90,6 +90,7 @@ class WordPieceTokenizer:
         self.vocab = vocab
         self.max_word_chars = max_word_chars
         self._cache: dict = {}
+        self._ids: Dict[str, Tuple[int, ...]] = {}
 
     @classmethod
     def train(
@@ -112,6 +113,22 @@ class WordPieceTokenizer:
         pieces = self._tokenize_word_uncached(word)
         self._cache[word] = tuple(pieces)
         return pieces
+
+    def word_ids(self, word: str) -> Tuple[int, ...]:
+        """Vocabulary ids of a raw (not yet lowercased) word.
+
+        Equal to ``vocab.encode(tokenize_word(word.lower()))``, memoised per
+        raw word (bypassing the :meth:`tokenize_word` cache, so a word is
+        held once): the featurisers of both serving stages call this for
+        every word, so a parser whose stages share one tokenizer looks each
+        distinct word up once per process.  The tuple keeps callers from
+        mutating the memo.
+        """
+        ids = self._ids.get(word)
+        if ids is None:
+            pieces = self._tokenize_word_uncached(word.lower())
+            ids = self._ids[word] = tuple(self.vocab.encode(pieces))
+        return ids
 
     def _tokenize_word_uncached(self, word: str) -> List[str]:
         if len(word) > self.max_word_chars:

@@ -78,3 +78,40 @@ def test_unmasked_path_unchanged_against_reference():
     fused = layer._forward_train_fused(x)
     reference = layer._forward_train_reference(x)
     np.testing.assert_allclose(fused.numpy(), reference.numpy(), atol=1e-12)
+
+
+def _per_direction(layer, x, mask):
+    return np.concatenate(
+        [
+            layer.forward_lstm._forward_inference(x, mask),
+            layer.backward_lstm._forward_inference(x, mask),
+        ],
+        axis=-1,
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "batch, seq, lengths",
+    [
+        (3, 1, None),             # a single time step
+        (1, 7, None),             # a single-row batch
+        (1, 7, [4]),              # single row, longest row shorter than seq
+        (4, 9, [9, 3, 1, 6]),     # ragged suffix masks
+        (3, 8, [5, 2, 5]),        # longest row shorter than seq
+        (5, 33, [33, 1, 17, 32, 8]),
+    ],
+)
+def test_bilstm_infer_equals_per_direction_recurrence(dtype, batch, seq, lengths):
+    # The fused time loop must reproduce the two separate recurrences
+    # bit for bit, on the raw path and through the no_grad module call.
+    layer = BiLstm(6, 5, rng=np.random.default_rng(53))
+    x = RNG.normal(size=(batch, seq, 6)).astype(dtype)
+    mask = None if lengths is None else prefix_mask(lengths, seq)
+    fused = layer.infer(x, mask)
+    assert fused.dtype == dtype
+    np.testing.assert_array_equal(fused, _per_direction(layer, x, mask))
+    with no_grad():
+        boxed = Tensor(x)
+        called = layer(boxed, mask=mask).numpy()
+    np.testing.assert_array_equal(called, _per_direction(layer, boxed.data, mask))

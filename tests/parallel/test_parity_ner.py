@@ -73,3 +73,24 @@ def test_self_training_parity(local_backend, setting, num_workers):
     assert len(hist_one) == len(hist_n)
     for record_one, record_n in zip(hist_one, hist_n):
         assert record_one["loss"] == pytest.approx(record_n["loss"], abs=PARITY_ATOL)
+
+
+def test_ner_rejects_grad_accumulation_with_workers(setting, monkeypatch):
+    import repro.parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started before the config check")
+
+    monkeypatch.setattr(repro.parallel, "make_runner", no_pool)
+    corpus, train, tokenizer, config = setting
+    model = NerTagger(config, tokenizer, rng=np.random.default_rng(3))
+    trainer = SelfTrainer(
+        model,
+        SelfTrainConfig(teacher_epochs=1, grad_accumulation=2, num_workers=2),
+        seed=0,
+    )
+    before = param_vector(model.parameters())
+    with pytest.raises(ValueError, match="grad_accumulation"):
+        trainer.train_teacher(train, corpus.validation)
+    np.testing.assert_array_equal(param_vector(model.parameters()), before)
+    assert trainer.history == []

@@ -102,3 +102,48 @@ class TestParserPersistence:
         restored = load_parser(path)
         assert restored.ner_tagger is None
         assert restored.parse(docs[2]).blocks is not None
+
+    def test_parser_shares_one_tokenizer_when_vocabularies_match(
+        self, world, tmp_path
+    ):
+        docs, classifier, tagger = world
+        parser = ResumeParser(classifier, tagger)
+        path = str(tmp_path / "shared")
+        save_parser(parser, path)
+        restored = load_parser(path)
+        assert (
+            restored.ner_tagger.featurizer.tokenizer
+            is restored.block_classifier.featurizer.tokenizer
+        )
+        before = [r.to_dict() for r in parser.parse_batch(docs)]
+        assert [r.to_dict() for r in restored.parse_batch(docs)] == before
+
+    def test_parser_keeps_two_tokenizers_when_vocabularies_differ(
+        self, world, tmp_path
+    ):
+        docs, classifier, _ = world
+        ner_tokenizer = WordPieceTokenizer.train(
+            (s.text for d in docs for s in d.sentences),
+            vocab_size=300, min_frequency=1,
+        )
+        assert ner_tokenizer.vocab.tokens() != (
+            classifier.featurizer.tokenizer.vocab.tokens()
+        )
+        ner_config = NerConfig(
+            vocab_size=len(ner_tokenizer.vocab),
+            hidden_dim=32, layers=1, heads=2, lstm_hidden=16, dropout=0.0,
+        )
+        tagger = NerTagger(ner_config, ner_tokenizer, rng=np.random.default_rng(4))
+        parser = ResumeParser(classifier, tagger)
+        path = str(tmp_path / "separate")
+        save_parser(parser, path)
+        restored = load_parser(path)
+        block_tokenizer = restored.block_classifier.featurizer.tokenizer
+        ner_restored = restored.ner_tagger.featurizer.tokenizer
+        assert ner_restored is not block_tokenizer
+        assert ner_restored.vocab.tokens() == ner_tokenizer.vocab.tokens()
+        assert block_tokenizer.vocab.tokens() == (
+            classifier.featurizer.tokenizer.vocab.tokens()
+        )
+        before = [r.to_dict() for r in parser.parse_batch(docs)]
+        assert [r.to_dict() for r in restored.parse_batch(docs)] == before

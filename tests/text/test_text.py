@@ -165,3 +165,59 @@ class TestWordPieceTokenizer:
             return
         joined = pieces[0] + "".join(p[2:] for p in pieces[1:])
         assert joined == word
+
+
+class TestWordIds:
+    @pytest.fixture(scope="class")
+    def tokenizer(self):
+        return WordPieceTokenizer.train(
+            CORPUS + ["jane doe example com call 892 384 2824 in 2019 07"],
+            vocab_size=300, min_frequency=1,
+        )
+
+    @staticmethod
+    def _reference(tokenizer, word):
+        return tuple(tokenizer.vocab.encode(tokenizer.tokenize_word(word.lower())))
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            "",
+            "x" * 65,
+            "Software" * 9,
+            "jane.doe@example.com",
+            "+1 (892) 384-2824",
+            "892-384-2824",
+            "2019.07",
+            "SoftWare",
+            "ENGINEER",
+            "日本語",
+        ],
+    )
+    def test_matches_encode_of_lowercased_pieces(self, tokenizer, word):
+        ids = tokenizer.word_ids(word)
+        assert ids == self._reference(tokenizer, word)
+        assert tokenizer.word_ids(word) is ids  # served from the memo
+
+    def test_over_max_word_chars_is_unk(self, tokenizer):
+        word = "a" * (tokenizer.max_word_chars + 1)
+        assert tokenizer.word_ids(word) == (tokenizer.vocab.unk_id,)
+
+    def test_case_variants_share_pieces(self, tokenizer):
+        assert tokenizer.word_ids("Acme") == tokenizer.word_ids("acme")
+
+    def test_returns_tuple_so_memo_cannot_be_corrupted(self, tokenizer):
+        ids = tokenizer.word_ids("engineer")
+        assert isinstance(ids, tuple)
+        with pytest.raises((TypeError, AttributeError)):
+            ids.append(0)
+        assert tokenizer.word_ids("engineer") == self._reference(
+            tokenizer, "engineer"
+        )
+
+    @given(st.text(max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_reference(self, tokenizer, word):
+        ids = tokenizer.word_ids(word)
+        assert isinstance(ids, tuple)
+        assert ids == self._reference(tokenizer, word)
