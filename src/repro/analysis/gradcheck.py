@@ -7,9 +7,9 @@ f(x-eps)) / 2 eps``.  Non-scalar outputs are scalarised through a fixed
 seeded random projection so every output element constrains the check.
 
 :func:`run_sweep` auto-discovers every differentiable op exported by
-``nn/functional.py``, ``nn/layers.py``, ``nn/attention.py``,
-``nn/recurrent.py`` and ``nn/crf.py`` and checks each against the
-registered spec — broadcasting, zero-size and length-masked shapes
+``nn/tensor.py``, ``nn/functional.py``, ``nn/layers.py``,
+``nn/attention.py``, ``nn/recurrent.py`` and ``nn/crf.py`` and checks
+each against the registered spec — broadcasting, zero-size and length-masked shapes
 included.  An exported op *without* a spec fails the sweep, so new ops
 cannot silently skip gradient verification.
 
@@ -51,6 +51,7 @@ _PROJECTION_SEED = 20230417
 
 #: The modules whose public exports the sweep must cover.
 SWEPT_MODULES = (
+    "repro.nn.tensor",
     "repro.nn.functional",
     "repro.nn.layers",
     "repro.nn.attention",
@@ -197,6 +198,9 @@ def gradcheck(
 #: printed by ``--list``.  Only forward-only inference machinery belongs
 #: here — every differentiable op must carry a spec.
 NON_DIFFERENTIABLE: Dict[str, str] = {
+    "no_grad": "context manager toggling graph recording",
+    "is_grad_enabled": "grad-mode query, not an op",
+    "as_tensor": "coercion to Tensor, not an op",
     "softmax_ndarray": "forward-only ndarray kernel (no autograd surface)",
     "gelu_ndarray": "forward-only ndarray kernel (no autograd surface)",
     "QuantizedLinear": "inference-only int8 layer; raises under grad",
@@ -247,6 +251,14 @@ class _ConstantRng:
         if tuple(shape) != self._values.shape:
             raise ValueError(f"fixed rng built for {self._values.shape}, got {shape}")
         return self._values
+
+
+# -- tensor ------------------------------------------------------------
+def _register_tensor() -> None:
+    @spec("Tensor", "__getitem__ repeated + negative ids, 3-D table")
+    def _():
+        ids = np.array([[1, -1, 1], [3, 0, -4]])
+        return {"fn": lambda table: table[ids], "inputs": [_tensor(_rng(22), 4, 2, 3)]}
 
 
 # -- functional --------------------------------------------------------
@@ -371,6 +383,13 @@ def _register_functional() -> None:
     def _():
         return {"fn": F.gelu, "inputs": [_tensor(_rng(17), 2, 3)]}
 
+    @spec("gelu", "inputs across +-6 (13,)")
+    def _():
+        return {
+            "fn": F.gelu,
+            "inputs": [Tensor(np.linspace(-6.0, 6.0, 13) + 0.05, requires_grad=True)],
+        }
+
     @spec("gelu", "zero-size (0,)")
     def _():
         return {"fn": F.gelu, "inputs": [_tensor(_rng(18), 0)]}
@@ -409,6 +428,16 @@ def _register_layers() -> None:
         layer = Linear(3, 2, bias=False, rng=_rng(32))
         return {"fn": layer, "inputs": [_tensor(_rng(33), 2, 3)], "params": _params(layer)}
 
+    @spec("Linear", "3-D input (2,3,4)->(2,3,2)")
+    def _():
+        layer = Linear(4, 2, rng=_rng(24))
+        return {"fn": layer, "inputs": [_tensor(_rng(25), 2, 3, 4)], "params": _params(layer)}
+
+    @spec("Linear", "1-D input (3,)->(2,)")
+    def _():
+        layer = Linear(3, 2, rng=_rng(26))
+        return {"fn": layer, "inputs": [_tensor(_rng(27), 3)], "params": _params(layer)}
+
     @spec("Linear", "zero-size batch (0,3)")
     def _():
         layer = Linear(3, 2, rng=_rng(34))
@@ -436,6 +465,14 @@ def _register_layers() -> None:
     def _():
         layer = LayerNorm(4)
         return {"fn": layer, "inputs": [_tensor(_rng(39), 2, 4)], "params": _params(layer)}
+
+    @spec("LayerNorm", "3-D input (2,3,4)")
+    def _():
+        layer = LayerNorm(4)
+        with no_grad():
+            layer.gamma.data[:] = _rng(28).standard_normal(4)
+            layer.beta.data[:] = _rng(29).standard_normal(4)
+        return {"fn": layer, "inputs": [_tensor(_rng(23), 2, 3, 4)], "params": _params(layer)}
 
     @spec("Dropout", "p=0 identity")
     def _():
@@ -651,6 +688,7 @@ def _register_crf() -> None:
 def _register_all_specs() -> None:
     if SPECS:
         return
+    _register_tensor()
     _register_functional()
     _register_layers()
     _register_attention()

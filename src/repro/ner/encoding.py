@@ -21,6 +21,10 @@ __all__ = ["NerFeatures", "NerFeaturizer", "SHAPE_DIM", "word_shape"]
 #: Dimension of the per-piece surface-shape descriptor.
 SHAPE_DIM = 8
 
+#: Words the featurizer's shape memo may hold; a full memo is cleared on
+#: its next miss, like the tokenizer's (``wordpiece.MEMO_CAP``).
+SHAPE_MEMO_CAP = 1 << 16
+
 
 def word_shape(word: str, position: int, total: int, is_initial: bool) -> np.ndarray:
     """Surface-shape features of a word (classic NER character features).
@@ -131,6 +135,8 @@ class NerFeaturizer:
                 counts.append(len(ids))
                 shape = word_shapes.get(word)
                 if shape is None:
+                    if len(word_shapes) >= SHAPE_MEMO_CAP:
+                        word_shapes.clear()
                     shape = word_shapes[word] = _word_columns(word)
                 shapes.append(shape)
             n = len(shapes) - start

@@ -96,7 +96,7 @@ def fused_self_attention(
     num_heads: int,
     attention_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """The full attention chain as one einsum-based autograd node.
+    """The full attention chain as one batched-matmul autograd node.
 
     Computes QKV projections, scaled dot-product scores, key-masked
     softmax, context gather and the output projection in raw numpy and
@@ -122,9 +122,9 @@ def fused_self_attention(
     k = _split_heads_np(km, num_heads)
     v = _split_heads_np(vm, num_heads)
 
-    scores = np.einsum("bhqd,bhkd->bhqk", q, k, optimize=True) * scale
+    scores = (q @ k.swapaxes(-1, -2)) * scale
     weights = _masked_softmax_np(scores, attention_mask)
-    context = np.einsum("bhqk,bhkd->bhqd", weights, v, optimize=True)
+    context = weights @ v
     context_m = _merge_heads_np(context)
     out_data = context_m @ w_o.data + b_o.data
 
@@ -134,16 +134,16 @@ def fused_self_attention(
         w_o._accumulate(context_m.reshape(batch * seq, dim).T @ grad2d)
         g_context = _split_heads_np(grad @ w_o.data.T, num_heads)
 
-        g_weights = np.einsum("bhqd,bhkd->bhqk", g_context, v, optimize=True)
-        g_v = np.einsum("bhqk,bhqd->bhkd", weights, g_context, optimize=True)
+        g_weights = g_context @ v.swapaxes(-1, -2)
+        g_v = weights.swapaxes(-1, -2) @ g_context
         # Softmax backward: rows of exactly-zero weight (masked keys)
         # contribute exactly zero, matching the constant fill value.
         g_scores = weights * (
             g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)
         )
         g_scores *= scale
-        g_q = np.einsum("bhqk,bhkd->bhqd", g_scores, k, optimize=True)
-        g_k = np.einsum("bhqk,bhqd->bhkd", g_scores, q, optimize=True)
+        g_q = g_scores @ k
+        g_k = g_scores.swapaxes(-1, -2) @ q
 
         g_qm = _merge_heads_np(g_q).reshape(batch * seq, dim)
         g_km = _merge_heads_np(g_k).reshape(batch * seq, dim)

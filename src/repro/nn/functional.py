@@ -30,6 +30,11 @@ __all__ = [
 
 _NEG_INF = -1e9
 
+#: Constants of the tanh approximation of GELU: ``sqrt(2 / pi)`` and the
+#: cubic coefficient.
+_GELU_C = 0.7978845608028654
+_GELU_A = 0.044715
+
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Numerically stable ``log(sum(exp(x)))`` along ``axis``."""
@@ -140,8 +145,19 @@ def gelu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if not is_grad_enabled():
         return Tensor(gelu_ndarray(x.data))
-    inner = 0.7978845608028654 * (x + 0.044715 * x * x * x)
-    return 0.5 * x * (1.0 + inner.tanh())
+    # One node with the analytic derivative.  The forward keeps the op
+    # order of ``0.5 * x * (1 + tanh(c * (x + a * x * x * x)))`` so it is
+    # bit-identical to composing the primitive ops.
+    data = x.data
+    cubic = data * _GELU_A * data * data
+    t = np.tanh(_GELU_C * (data + cubic))
+    out = data * 0.5 * (t + 1.0)
+
+    def backward(grad: np.ndarray) -> None:
+        slope = _GELU_C * (1.0 + 3.0 * _GELU_A * data * data)
+        x._accumulate(grad * (0.5 * (t + 1.0) + 0.5 * data * (1.0 - t * t) * slope))
+
+    return x._make(out, (x,), backward)
 
 
 def gelu_ndarray(x: np.ndarray) -> np.ndarray:
@@ -155,11 +171,11 @@ def gelu_ndarray(x: np.ndarray) -> np.ndarray:
     # expression ``0.5 * x * (1 + tanh(0.7978... * (x + 0.044715*x*x*x)))``
     # bit for bit (multiplication is commutative and scaling by 0.5 is
     # exact), with no intermediate temporaries.
-    inner = x * 0.044715
+    inner = x * _GELU_A
     inner *= x
     inner *= x
     inner += x
-    inner *= 0.7978845608028654
+    inner *= _GELU_C
     np.tanh(inner, out=inner)
     inner += 1.0
     inner *= 0.5

@@ -18,7 +18,8 @@ class Linear(Module):
     """Affine transformation ``y = x W + b`` over the last axis.
 
     Under ``no_grad`` the forward skips graph construction entirely and
-    runs :meth:`infer` on the raw array — the hot path for serving.
+    runs :meth:`infer` on the raw array — the hot path for serving.  With
+    grads on, the forward is one graph node.
     """
 
     def __init__(
@@ -38,10 +39,26 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not is_grad_enabled():
             return Tensor(self.infer(x.data))
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        weight, bias = self.weight, self.bias
+        shape = x.data.shape
+        x2d = x.data.reshape(-1, shape[-1])
+        out2d = x2d @ weight.data
+        if bias is not None:
+            out2d += bias.data
+
+        def backward(grad: np.ndarray) -> None:
+            # One node for any input rank: every leading axis is a row of
+            # one GEMM, so the weight gradient is a single x2d.T @ grad2d.
+            grad2d = grad.reshape(out2d.shape)
+            weight._accumulate(x2d.T @ grad2d)
+            if bias is not None:
+                bias._accumulate(grad2d.sum(axis=0))
+            if x.requires_grad:
+                x._accumulate((grad2d @ weight.data.T).reshape(shape))
+
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        out = out2d.reshape(shape[:-1] + out2d.shape[1:])
+        return x._make(out, parents, backward)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Forward-only affine map on a raw array — no graph, no boxing.
@@ -117,7 +134,7 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    """Layer normalisation over the last axis."""
+    """Layer normalisation over the last axis (one graph node with grads on)."""
 
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
@@ -129,11 +146,27 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not is_grad_enabled():
             return Tensor(self.infer(x.data))
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
+        gamma, beta = self.gamma, self.beta
+        # One node.  The forward repeats the primitive-op chain of
+        # ``mean -> centre -> variance -> divide -> scale -> shift`` in the
+        # same order, so its output is bit-identical to composing those ops.
+        count = float(self.dim)
+        centered = x.data - x.data.sum(axis=-1, keepdims=True) / count
+        var = (centered * centered).sum(axis=-1, keepdims=True) / count
+        std = np.sqrt(var + self.eps)
+        normed = centered / std
+        out = normed * gamma.data + beta.data
+
+        def backward(grad: np.ndarray) -> None:
+            rows = grad.reshape(-1, self.dim)
+            gamma._accumulate((rows * normed.reshape(-1, self.dim)).sum(axis=0))
+            beta._accumulate(rows.sum(axis=0))
+            g_normed = grad * gamma.data
+            g_mean = g_normed.sum(axis=-1, keepdims=True) / count
+            g_proj = (g_normed * normed).sum(axis=-1, keepdims=True) / count
+            x._accumulate((g_normed - g_mean - normed * g_proj) / std)
+
+        return x._make(out, (x, gamma, beta), backward)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Forward-only layer norm on a raw array.

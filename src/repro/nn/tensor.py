@@ -141,6 +141,12 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
+            if np.shape(grad) == self.data.shape:
+                # The first share is copied, never adopted: a closure may
+                # hand the same array to several parents, and callers may
+                # keep mutating what they passed.
+                self.grad = np.array(grad, dtype=np.float64)
+                return
             self.grad = np.zeros_like(self.data)
         self.grad += grad
 
@@ -431,16 +437,10 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            full = np.zeros_like(self.data)
             if isinstance(index, np.ndarray) and index.dtype.kind in "iu":
-                # Gathers whose rows are all distinct (inverse permutations,
-                # padded-batch scatters) don't need the slow unbuffered
-                # np.add.at — a plain fancy assignment is the same scatter.
-                flat = index.ravel()
-                if flat.size == np.unique(flat).size:
-                    full[flat] = grad.reshape((flat.size,) + full.shape[1:])
-                    self._accumulate(full)
-                    return
+                self._accumulate(_scatter_rows(index, grad, self.data.shape))
+                return
+            full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
             self._accumulate(full)
 
@@ -460,6 +460,23 @@ class Tensor:
 
     def __le__(self, other: ArrayLike):
         return self.data <= as_tensor(other).data
+
+
+def _scatter_rows(
+    index: np.ndarray, grad: np.ndarray, shape: Tuple[int, ...]
+) -> np.ndarray:
+    """Backward of the row gather ``table[index]``: sum ``grad`` into rows.
+
+    One ``np.bincount`` over the flattened ``(row, column)`` cells.  It
+    adds each cell's contributions in input order, as ``np.add.at``
+    does, so the result is bit-identical to that unbuffered scatter.
+    """
+    rows = index.ravel().astype(np.int64)
+    rows = np.where(rows < 0, rows + shape[0], rows)
+    width = int(np.prod(shape[1:], dtype=np.int64))
+    cells = (rows[:, None] * width + np.arange(width)).ravel()
+    summed = np.bincount(cells, weights=grad.reshape(-1), minlength=shape[0] * width)
+    return summed.reshape(shape)
 
 
 def _normalize_index(index):

@@ -19,6 +19,11 @@ __all__ = ["WordPieceTokenizer", "train_wordpiece"]
 
 _CONTINUATION = "##"
 
+#: Entries each per-word memo may hold.  A serving process meets new words
+#: (names, emails, phone numbers) with every resume, so a full memo is
+#: cleared on its next miss and refills with the words still in use.
+MEMO_CAP = 1 << 16
+
 
 def _word_to_units(word: str) -> Tuple[str, ...]:
     """Split a word into its initial character units with ## markers."""
@@ -105,12 +110,15 @@ class WordPieceTokenizer:
         """Tokenise a single (already normalised) word into subwords.
 
         Results are memoised — resume corpora repeat words heavily, and
-        tokenisation is on the inference hot path.
+        tokenisation is on the inference hot path.  The memo holds at most
+        :data:`MEMO_CAP` words.
         """
         cached = self._cache.get(word)
         if cached is not None:
             return list(cached)
         pieces = self._tokenize_word_uncached(word)
+        if len(self._cache) >= MEMO_CAP:
+            self._cache.clear()
         self._cache[word] = tuple(pieces)
         return pieces
 
@@ -121,12 +129,14 @@ class WordPieceTokenizer:
         raw word (bypassing the :meth:`tokenize_word` cache, so a word is
         held once): the featurisers of both serving stages call this for
         every word, so a parser whose stages share one tokenizer looks each
-        distinct word up once per process.  The tuple keeps callers from
-        mutating the memo.
+        distinct word up once per process (up to :data:`MEMO_CAP` words).
+        The tuple keeps callers from mutating the memo.
         """
         ids = self._ids.get(word)
         if ids is None:
             pieces = self._tokenize_word_uncached(word.lower())
+            if len(self._ids) >= MEMO_CAP:
+                self._ids.clear()
             ids = self._ids[word] = tuple(self.vocab.encode(pieces))
         return ids
 

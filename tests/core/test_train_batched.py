@@ -105,6 +105,29 @@ class TestBlockLossParity:
             got = np.zeros_like(p.data) if batched is None else batched
             np.testing.assert_allclose(got, reference, atol=1e-8)
 
+    def test_loss_graph_stays_small(self, classifier, featurizer, tiny_docs):
+        """Pins the size of one batched loss graph.
+
+        ``LayerNorm``, ``Linear``, ``gelu`` and attention are one node each;
+        built from primitive ops the same 4-document graph has 660
+        reachable nodes.  Backward cost is mostly per-node overhead, so a
+        refactor back to primitive ops must fail here.
+        """
+        classifier.train()
+        features = [featurizer.featurize(d) for d in tiny_docs[:4]]
+        labels = collate_labels(
+            features, [LabeledDocument.from_gold(d).labels for d in tiny_docs[:4]]
+        )
+        loss = classifier.loss_batch(collate_documents(features), labels)
+        seen = {}
+        stack = [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node._parents)
+        assert len(seen) <= 300
+
 
 class TestPretrainParity:
     def test_mllm_batched_equals_per_document(self, pretrainer, doc_features):

@@ -119,6 +119,19 @@ class TestNerFeaturizer:
         assert shape[4] == 1.0          # punctuation
         assert shape[7] == 0.5          # relative position
 
+    def test_shape_memo_stays_within_cap(self, tokenizer, corpus, monkeypatch):
+        from repro.ner import encoding
+
+        reference = NerFeaturizer(tokenizer).featurize(corpus.train[:4])
+        monkeypatch.setattr(encoding, "SHAPE_MEMO_CAP", 5)
+        featurizer = NerFeaturizer(tokenizer)
+        for example in corpus.train[:4]:
+            featurizer.featurize([example])
+            assert len(featurizer._word_shapes) <= 5
+        features = featurizer.featurize(corpus.train[:4])
+        assert len(featurizer._word_shapes) <= 5
+        np.testing.assert_array_equal(features.piece_shape, reference.piece_shape)
+
     def test_batches_cover_everything(self, tokenizer, corpus):
         featurizer = NerFeaturizer(tokenizer)
         seen = 0

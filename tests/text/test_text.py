@@ -215,6 +215,21 @@ class TestWordIds:
             tokenizer, "engineer"
         )
 
+    def test_memos_stay_within_cap_and_refill_correctly(self, monkeypatch):
+        from repro.text import wordpiece
+
+        monkeypatch.setattr(wordpiece, "MEMO_CAP", 4)
+        tokenizer = WordPieceTokenizer.train(CORPUS, vocab_size=300, min_frequency=1)
+        words = [f"Word{i}" for i in range(11)] + ["software", "Word3"]
+        for word in words:
+            ids = tokenizer.word_ids(word)
+            tokenizer.tokenize_word(word.lower())
+            assert len(tokenizer._ids) <= 4
+            assert len(tokenizer._cache) <= 4
+            assert ids == self._reference(tokenizer, word)
+        # The memos were cleared at least once and still serve hits.
+        assert tokenizer.word_ids("Word3") is tokenizer.word_ids("Word3")
+
     @given(st.text(max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_property_matches_reference(self, tokenizer, word):
