@@ -1,6 +1,6 @@
 # Common development targets.
 
-.PHONY: install test lint lock-audit gradcheck bench bench-perf bench-train bench-quant bench-parallel bench-history serve-obs examples report compare baseline clean
+.PHONY: install test lint lock-audit gradcheck bench bench-perf bench-train bench-quant bench-history serve-obs examples report compare baseline clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -21,7 +21,7 @@ lint:
 # Runtime lock-order sanitizer ("tsan-lite") over the threaded suites;
 # exits 1 on any lock-order cycle.  Writes lock_audit_report.json.
 lock-audit:
-	PYTHONPATH=src python -m repro.analysis.lock_audit tests/obs tests/parallel \
+	PYTHONPATH=src python -m repro.analysis.lock_audit tests/obs \
 		--json-out lock_audit_report.json
 
 # Numerical-gradient sweep over every differentiable nn op.
@@ -45,13 +45,6 @@ bench-train:
 # this is the CI quantization-parity gate).
 bench-quant:
 	python -m pytest benchmarks/test_perf_quantized.py -q -s
-
-# Data-parallel scaling benchmark (1/2/4 workers); writes
-# BENCH_parallel.json.  Asserts 1-vs-2-worker parameter parity always;
-# the >= 1.6x speedup floor at 4 workers only applies on machines with
-# >= 4 cores.  BENCH_PARALLEL_SMOKE=1 shrinks it to a CI-sized smoke run.
-bench-parallel:
-	python -m pytest benchmarks/test_perf_parallel.py -q -s
 
 # Benchmark trajectory gate: render the committed perf history and exit 1
 # when any bench's latest full record regresses against the trailing

@@ -17,10 +17,7 @@ Render or gate the log afterwards with::
 
 ``--epochs`` shrinks or grows the fine-tuning run (CI uses 2).
 ``--profile-hz`` arms the continuous sampling profiler (``profile``
-events land in the log; render with ``report --profile``) and
-``--num-workers`` runs pre-training on a real spawn pool whose worker
-telemetry — spans, step timings, profiles — is relayed back into this
-same log.
+events land in the log; render with ``report --profile``).
 """
 
 import argparse
@@ -58,11 +55,6 @@ def main():
         "--profile-hz", type=float, default=None,
         help="sample every thread's stack at this rate (default: off)",
     )
-    parser.add_argument(
-        "--num-workers", type=int, default=0,
-        help="pre-train data-parallel on this many pool workers "
-        "(default: in-process)",
-    )
     options = parser.parse_args()
 
     generator = ResumeGenerator(seed=SEED, content_config=ContentConfig.tiny())
@@ -95,14 +87,8 @@ def main():
         alerts=True,
         profile_hz=options.profile_hz,
     ) as tel:
-        # only pass num_workers when asked: the default run must stay
-        # byte-comparable to the committed obs-gate baseline
-        pretrain_kwargs = (
-            {"num_workers": options.num_workers} if options.num_workers else {}
-        )
         Pretrainer(encoder, featurizer, seed=SEED).fit(
-            documents, epochs=options.pretrain_epochs, batch_size=4,
-            **pretrain_kwargs,
+            documents, epochs=options.pretrain_epochs, batch_size=4
         )
         BlockTrainer(classifier, seed=SEED).fit(
             train, validation=validation, epochs=options.epochs, batch_size=4

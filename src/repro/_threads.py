@@ -15,8 +15,7 @@ applied retroactively; set ``OMP_NUM_THREADS=1`` in the environment instead
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 _ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -29,10 +28,8 @@ _ENV_VARS = (
 def blas_thread_counts() -> Dict[str, Optional[str]]:
     """The effective BLAS thread-count environment, for reporting.
 
-    Maps each capped variable to its current value (None when unset).
-    ``repro.parallel`` workers include this in their ready handshake so
-    tests can assert every worker actually runs under a single-threaded
-    BLAS rather than trusting that the cap was applied in time.
+    Maps each capped variable to its current value (None when unset), so
+    a benchmark record can state the BLAS threading it ran under.
     """
     return {var: os.environ.get(var) for var in _ENV_VARS}
 
@@ -56,30 +53,6 @@ def limit_blas_threads(count: Optional[int] = None) -> None:
             os.environ.setdefault(var, "1")
         else:
             os.environ[var] = str(count)
-
-
-@contextmanager
-def blas_threads_pinned(count: int = 1) -> Iterator[None]:
-    """Temporarily force the BLAS thread-count environment to ``count``.
-
-    Unlike :func:`limit_blas_threads`, this restores the previous values
-    (including unset) on exit.  ``repro.parallel`` wraps worker-process
-    spawning in it: under the ``spawn`` start method the children inherit
-    the environment *before* their first numpy import — the only moment
-    the cap is guaranteed to bind — while the parent's own policy stays
-    whatever the user configured.
-    """
-    previous = {var: os.environ.get(var) for var in _ENV_VARS}
-    for var in _ENV_VARS:
-        os.environ[var] = str(count)
-    try:
-        yield
-    finally:
-        for var, value in previous.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
 
 
 limit_blas_threads()

@@ -13,7 +13,7 @@ Three layers of defence against silent invariant violations in
 * :mod:`repro.analysis.lock_audit` — a runtime lock-order sanitizer
   ("tsan-lite"): instrumented lock factories, per-thread acquisition
   stacks, lock-order-cycle / long-hold / critical-hold reports
-  (``python -m repro.analysis.lock_audit tests/obs tests/parallel``).
+  (``python -m repro.analysis.lock_audit tests/obs``).
 * :mod:`repro.analysis.gradcheck` — central-difference numerical gradient
   checking plus a sweep harness that auto-discovers every differentiable
   op in the substrate and checks it at broadcasting, zero-size and

@@ -39,7 +39,7 @@ __all__ = ["FunctionInfo", "CallGraph", "build_call_graph", "module_name_for"]
 def module_name_for(path: str) -> str:
     """Best-effort dotted module name for a source path.
 
-    ``src/repro/parallel/pool.py`` → ``repro.parallel.pool``; package
+    ``src/repro/obs/server.py`` → ``repro.obs.server``; package
     ``__init__`` files name the package itself.  Paths outside a
     recognisable package root fall back to their stem, which keeps
     single-file :func:`~repro.analysis.lint.lint_source` calls working.

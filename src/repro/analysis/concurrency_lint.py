@@ -1,9 +1,8 @@
 """Concurrency-aware lint rules (RN007–RN012) for the repro substrate.
 
-PR 7 made training multi-process (spawn-safe pools over shared-memory
-slabs) and the obs layer made instrumentation multi-thread-safe
-(per-metric locks); the ROADMAP's serving tier will add thread pools on
-top.  None of those contracts is enforced by Python — a fork-unsafe
+The obs layer made instrumentation multi-thread-safe (per-metric locks),
+the feature cache guards itself against ``fork``, and the ROADMAP's
+serving tier will add thread pools on top.  None of those contracts is enforced by Python — a fork-unsafe
 module global, an ndarray smuggled through a control queue, or a
 mutation that slips outside a class's own lock does not raise, it
 corrupts state under load.  These rules check the contracts statically,
@@ -23,9 +22,9 @@ RN009  queue ``put`` of graph/ndarray payloads — queues carry control
        messages; arrays cross process boundaries through shared-memory
        slabs
 RN010  blocking ``Queue.get()`` / bare ``join()`` without a timeout or
-       liveness loop (the dead-worker hang class PR 7 fixed by hand)
+       liveness loop (the dead-worker hang class)
 RN011  ``threading.Thread`` / ``multiprocessing.Process`` creation
-       outside the sanctioned pool/runner modules
+       outside the sanctioned modules (the obs profiler and server)
 RN012  unbounded telemetry label cardinality: metric label values
        derived from per-item loop variables or document identifiers
 
@@ -100,9 +99,9 @@ _MUTATING_METHODS = {
 def _is_worker_function(node: ast.AST) -> bool:
     """Functions whose body runs inside a pool worker process.
 
-    The repo's convention (see :mod:`repro.parallel.workers`): spawn
-    entry points are ``_worker_main`` / ``init_*`` factories, dispatch
-    targets are ``task_*`` methods, and the contexts that hold them are
+    The naming convention for process-pool code: spawn entry points are
+    ``_worker_main`` / ``init_*`` factories, dispatch targets are
+    ``task_*`` methods, and the contexts that hold them are
     ``*WorkerContext`` classes.
     """
     if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -508,21 +507,21 @@ class BlockingQueueCall(Rule):
 
 class UnsanctionedThreadCreation(Rule):
     code = "RN011"
-    title = "thread/process creation outside the sanctioned runner modules"
+    title = "thread/process creation outside the sanctioned modules"
     rationale = (
-        "All concurrency primitives live in the pool/runner modules so "
-        "BLAS pinning, teardown (no orphaned workers), telemetry and the "
-        "lock-order sanitizer see every execution lane.  A stray "
-        "threading.Thread in library code escapes all four."
+        "Execution lanes live only in the sanctioned obs modules so "
+        "teardown (no orphaned lanes), telemetry and the lock-order "
+        "sanitizer see every one of them.  A stray threading.Thread in "
+        "library code escapes all three."
     )
 
     #: Modules allowed to create execution lanes.  ``profiler.py`` owns the
-    #: obs sampling daemon thread — it must observe every other lane, so it
-    #: cannot itself run inside the pool.  ``server.py`` owns the telemetry
-    #: HTTP listener: its serve thread and semaphore-bounded handler
-    #: threads only *read* session state through the per-metric/engine
-    #: locks, so they cannot deadlock the lanes they observe.
-    SANCTIONED_FILES = {"pool.py", "profiler.py", "server.py"}
+    #: obs sampling daemon thread, which must observe every other lane.
+    #: ``server.py`` owns the telemetry HTTP listener: its serve thread and
+    #: semaphore-bounded handler threads only *read* session state through
+    #: the per-metric/engine locks, so they cannot deadlock the lanes they
+    #: observe.
+    SANCTIONED_FILES = {"profiler.py", "server.py"}
     SPAWN_CALLS = {
         "Thread",
         "Process",
@@ -581,7 +580,7 @@ class UnsanctionedThreadCreation(Rule):
                 ctx,
                 node,
                 f"`{dotted or name}(...)` creates an execution lane outside "
-                "the sanctioned pool/runner modules (repro.parallel.pool)",
+                "the sanctioned modules (repro.obs.profiler, repro.obs.server)",
             )
 
 

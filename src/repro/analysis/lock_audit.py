@@ -20,9 +20,9 @@ single statement.  This module observes that graph cheaply at test time:
 
 On top of ordering it also flags operational hazards: holds longer than
 ``long_hold_seconds`` (lock-hold hygiene — nothing slow belongs under a
-lock) and any acquisition made while holding a *pool-critical* lock
-(sites matching ``critical_patterns``): the pool's collector loop must
-never block on telemetry locks.
+lock) and any acquisition made while holding a *critical* lock (sites
+matching ``critical_patterns``, none by default): a lock on a hot loop
+must never block on telemetry locks.
 
 Sites, not lock objects, are the graph nodes: every ``Counter`` creates
 its own ``self._lock`` at the same line, and it is the per-*class*
@@ -50,7 +50,7 @@ Usage::
 
 CLI (the ``analysis-concurrency`` CI job)::
 
-    python -m repro.analysis.lock_audit tests/obs tests/parallel \
+    python -m repro.analysis.lock_audit tests/obs \
         --json-out lock_audit_report.json
 
 runs pytest over the given paths under the audit and exits 1 on any
@@ -71,9 +71,10 @@ __all__ = ["InstrumentedLock", "LockAudit", "audit_locks", "main"]
 #: Module-name filters audited by default: the package, its tests.
 DEFAULT_MODULES = ("repro", "tests", "test_")
 
-#: Sites matching any of these substrings are pool-critical: acquiring
-#: anything else while holding one is flagged.
-DEFAULT_CRITICAL_PATTERNS = ("parallel.pool",)
+#: Sites matching any of these substrings are critical: acquiring
+#: anything else while holding one is flagged.  No library lock is
+#: critical today; callers pass their own patterns.
+DEFAULT_CRITICAL_PATTERNS: Tuple[str, ...] = ()
 
 #: Holding any lock longer than this is flagged (seconds).
 DEFAULT_LONG_HOLD_SECONDS = 0.25
@@ -448,7 +449,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--critical",
         default=",".join(DEFAULT_CRITICAL_PATTERNS),
-        help="comma-separated site substrings marking pool-critical locks",
+        help="comma-separated site substrings marking critical locks",
     )
     parser.add_argument(
         "--pytest-arg",

@@ -9,7 +9,6 @@ hierarchical encoder and a fast one for the randomly initialised head.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -66,8 +65,8 @@ class BlockClassifier(Module):
         self.encoder = encoder
         self.featurizer = featurizer
         self.scheme = scheme
-        #: Kept so data-parallel workers can rebuild a structurally
-        #: identical replica from config-level payloads alone.
+        #: Kept so a structurally identical classifier can be rebuilt
+        #: from config-level arguments alone.
         self.lstm_hidden = lstm_hidden
         dim = encoder.config.document_dim
         self.bilstm = BiLstm(dim, lstm_hidden, rng=rng)
@@ -348,17 +347,15 @@ class BlockTrainer:
         stepping, so the effective batch is ``batch_size *
         grad_accumulation`` without growing the padded forward pass.
 
-        ``num_workers >= 1`` takes each step data-parallel
-        (``repro.parallel``): the mini-batch is sharded across worker
-        replicas and the weighted-mean all-reduce reproduces the exact
-        single-replica gradient, so the trained parameters are identical
-        for every worker count (with ``dropout=0``; see docs/API.md §14).
-        Batch order, validation and early stopping are this one loop
-        either way; only :meth:`_gradient_step` differs.
+        ``num_workers`` is accepted only as 0: training runs in process,
+        and any other value raises :class:`ValueError`.
         """
+        if num_workers:
+            raise ValueError("num_workers was removed; training runs in process")
+        model = self.model
         # Chunks of similarly-sized documents keep the padded kernels from
         # paying the longest document's cost on every row.
-        cap = self.model.featurizer.config.max_document_sentences
+        cap = model.featurizer.config.max_document_sentences
         lengths = [min(item.document.num_sentences, cap) for item in train]
         history: Dict[str, List[float]] = {"loss": [], "val_accuracy": []}
         best_score = -np.inf
@@ -366,145 +363,75 @@ class BlockTrainer:
         bad_epochs = 0
         telemetry = obs.get_telemetry()
         step_index = 0
-        workers = {"workers": num_workers} if num_workers else {}
-        with self._gradient_step(
-            train, grad_accumulation, num_workers
-        ) as (step, flush):
-            for epoch_index in range(epochs):
-                epoch_loss = 0.0
-                self.model.train()
-                with obs.trace("block_train.epoch", epoch=epoch_index, **workers):
-                    for chunk in iter_minibatches(
-                        len(train), batch_size, rng=self.rng, lengths=lengths
-                    ):
-                        loss, grad_norm = step(chunk)
-                        if loss is not None:
-                            epoch_loss += loss * len(chunk)
-                        if telemetry is not None:
-                            step_index += 1
-                            telemetry.metrics.counter("train.documents").inc(
-                                len(chunk)
-                            )
-                            telemetry.event(
-                                "step",
-                                phase="block_train",
-                                step=step_index,
-                                epoch=epoch_index,
-                                losses={"crf": loss},
-                                documents=len(chunk),
-                                grad_norm=grad_norm,
-                            )
-                    flush()
-                history["loss"].append(epoch_loss / max(len(train), 1))
+        features = [
+            (model.featurizer.featurize(item.document), item.labels)
+            for item in train
+        ]
+        engine = GradAccumulator(
+            self.optimizer,
+            model.parameters(),
+            max_grad_norm=self.max_grad_norm,
+            accumulation=grad_accumulation,
+        )
+        for epoch_index in range(epochs):
+            epoch_loss = 0.0
+            model.train()
+            with obs.trace("block_train.epoch", epoch=epoch_index):
+                for chunk in iter_minibatches(
+                    len(train), batch_size, rng=self.rng, lengths=lengths
+                ):
+                    docs = [features[i][0] for i in chunk]
+                    batch = collate_documents(docs)
+                    labels = collate_labels(docs, [features[i][1] for i in chunk])
+                    loss_tensor = model.loss_batch(batch, labels)
+                    stepped = engine.backward(loss_tensor, weight=len(chunk))
+                    loss = float(loss_tensor.data)
+                    grad_norm = engine.last_grad_norm if stepped else None
+                    epoch_loss += loss * len(chunk)
+                    if telemetry is not None:
+                        step_index += 1
+                        telemetry.metrics.counter("train.documents").inc(
+                            len(chunk)
+                        )
+                        telemetry.event(
+                            "step",
+                            phase="block_train",
+                            step=step_index,
+                            epoch=epoch_index,
+                            losses={"crf": loss},
+                            documents=len(chunk),
+                            grad_norm=grad_norm,
+                        )
+                engine.flush()
+            history["loss"].append(epoch_loss / max(len(train), 1))
+            if telemetry is not None:
+                telemetry.event(
+                    "epoch",
+                    phase="block_train",
+                    epoch=epoch_index,
+                    loss=history["loss"][-1],
+                )
+
+            if validation:
+                score = self.sentence_accuracy(validation)
+                history["val_accuracy"].append(score)
                 if telemetry is not None:
                     telemetry.event(
-                        "epoch",
+                        "eval",
                         phase="block_train",
                         epoch=epoch_index,
-                        loss=history["loss"][-1],
+                        val_accuracy=score,
                     )
-
-                if validation:
-                    score = self.sentence_accuracy(validation)
-                    history["val_accuracy"].append(score)
-                    if telemetry is not None:
-                        telemetry.event(
-                            "eval",
-                            phase="block_train",
-                            epoch=epoch_index,
-                            val_accuracy=score,
-                        )
-                    if score > best_score:
-                        best_score, bad_epochs = score, 0
-                        best_state = self.model.state_dict()
-                    else:
-                        bad_epochs += 1
-                        if bad_epochs >= patience:
-                            break
+                if score > best_score:
+                    best_score, bad_epochs = score, 0
+                    best_state = model.state_dict()
+                else:
+                    bad_epochs += 1
+                    if bad_epochs >= patience:
+                        break
         if best_state is not None:
-            self.model.load_state_dict(best_state)
+            model.load_state_dict(best_state)
         return history
-
-    @contextmanager
-    def _gradient_step(
-        self,
-        train: Sequence[LabeledDocument],
-        grad_accumulation: int,
-        num_workers: int,
-    ):
-        """Build :meth:`fit`'s gradient step; yields ``(step, flush)``.
-
-        ``step(chunk)`` takes one gradient step over the training items
-        indexed by ``chunk`` and returns ``(mean loss, grad norm)``, the
-        norm None when no optimizer step was taken; ``flush()`` closes an
-        epoch.  In process the documents are featurised here and each
-        batch backpropagates through a :class:`GradAccumulator`.  With
-        ``num_workers >= 1`` each batch is sharded across worker replicas
-        and reduced into one weighted-mean step, so the optimizer sees the
-        same per-batch gradient for every worker count.
-        """
-        model = self.model
-        parameters = model.parameters()
-        if not num_workers:
-            features = [
-                (model.featurizer.featurize(item.document), item.labels)
-                for item in train
-            ]
-            engine = GradAccumulator(
-                self.optimizer,
-                parameters,
-                max_grad_norm=self.max_grad_norm,
-                accumulation=grad_accumulation,
-            )
-
-            def step(chunk):
-                docs = [features[i][0] for i in chunk]
-                batch = collate_documents(docs)
-                labels = collate_labels(docs, [features[i][1] for i in chunk])
-                loss = model.loss_batch(batch, labels)
-                stepped = engine.backward(loss, weight=len(chunk))
-                return float(loss.data), engine.last_grad_norm if stepped else None
-
-            yield step, engine.flush
-            return
-        if grad_accumulation != 1:
-            raise ValueError(
-                "grad_accumulation is not supported with num_workers; "
-                "raise batch_size instead (shards keep the padded "
-                "forward pass small)"
-            )
-        from ..parallel import (
-            DataParallelEngine,
-            init_block_worker,
-            make_runner,
-            param_layout,
-            param_size,
-            publish_cache_hit_rates,
-        )
-
-        payload = {
-            "config": model.encoder.config,
-            "tokenizer": model.featurizer.tokenizer,
-            "scheme": model.scheme,
-            "lstm_hidden": model.lstm_hidden,
-            "documents": [item.document for item in train],
-            "labels": [item.labels for item in train],
-            "layout": param_layout(parameters),
-        }
-        with make_runner(
-            num_workers, init_block_worker, payload, param_size(parameters)
-        ) as runner:
-            engine = DataParallelEngine(
-                runner, self.optimizer, parameters,
-                max_grad_norm=self.max_grad_norm,
-            )
-
-            def step(chunk):
-                results, batch_loss = engine.grad_step("grad", chunk)
-                publish_cache_hit_rates(results)
-                return batch_loss, engine.last_grad_norm
-
-            yield step, lambda: None
 
     def sentence_accuracy(
         self, items: Sequence[LabeledDocument], batch_size: int = 8

@@ -47,7 +47,7 @@ def _clear_caches_after_fork() -> None:
     so an inherited entry could serve a *stale hit* for a different
     document.  Clearing on fork (stats preserved — the child continues
     the parent's counters) makes identity keying per-process by
-    construction.  Spawned workers never inherit caches and are
+    construction.  Spawned processes never inherit caches and are
     unaffected; the guard exists for ``fork``-start users.
     """
     for cache in list(_LIVE_CACHES):
@@ -97,12 +97,8 @@ class FeatureCache:
     **Caches are strictly per-process.**  Identity keys are meaningless in
     any other process (same integer, different object), and the weakref
     guard cannot help because a forked child's aliases are *live* objects.
-    Two defenses keep multi-process use safe: every cache clears itself in
-    a forked child (``os.register_at_fork``, entries dropped, stats kept),
-    and ``repro.parallel`` workers never receive a pickled cache at all —
-    each worker builds a fresh :class:`Featurizer` whose shard-local cache
-    warms up on that worker's own shard (its hit rate is exported as the
-    ``parallel.feature_cache.hit_rate{worker=}`` gauge).
+    Every cache therefore clears itself in a forked child
+    (``os.register_at_fork``, entries dropped, stats kept).
 
     When a :mod:`repro.obs` telemetry session is active, every hit, miss
     and LRU eviction also increments the session counters

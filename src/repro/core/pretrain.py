@@ -23,10 +23,8 @@ remain as the reference implementations the parity tests compare against.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -181,9 +179,6 @@ class Pretrainer:
         self.featurizer = featurizer
         self.config = encoder.config
         self.objectives = objectives or PretrainObjectives()
-        #: Base seed, kept for the data-parallel path's per-document
-        #: randomness discipline (see repro.parallel.randomness).
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
         #: The paper argues *dynamic* masking (fresh slots each step) beats
         #: static masking; False freezes each document's masked slots for
@@ -600,7 +595,6 @@ class Pretrainer:
         epochs: int = 1,
         batch_size: int = 4,
         grad_accumulation: int = 1,
-        num_workers: int = 0,
     ) -> List[Dict[str, float]]:
         """Pre-train over a document corpus; returns per-step loss records.
 
@@ -608,221 +602,32 @@ class Pretrainer:
         optimizer step (weighted by document count), raising the effective
         batch without growing the padded forward pass.  Note that SCL's
         cross-batch pooling still spans one mini-batch at a time.
-
-        ``num_workers >= 1`` takes each step data-parallel: batches shard
-        across worker replicas, corruption/slot/anchor draws move to a
-        per-document seeded discipline (worker-count invariant), and
-        SCL's cross-batch InfoNCE is computed globally by the parent from
-        gathered slot rows — so the objective is *not* approximated by
-        sharding, and final parameters are identical for every worker
-        count (with ``dropout=0``; see docs/API.md §14).  Batch order and
-        telemetry are this one loop either way; only
-        :meth:`_gradient_step` differs.
         """
         documents = list(documents)
         cap = self.featurizer.config.max_document_sentences
         lengths = [min(d.num_sentences, cap) for d in documents]
         history: List[Dict[str, float]] = []
         telemetry = obs.get_telemetry()
-        workers = {"workers": num_workers} if num_workers else {}
-        with self._gradient_step(
-            documents, grad_accumulation, num_workers
-        ) as (step, flush):
-            for epoch_index in range(epochs):
-                with obs.trace("pretrain.epoch", epoch=epoch_index, **workers):
-                    for chunk in iter_minibatches(
-                        len(documents), batch_size, rng=self.rng, lengths=lengths
-                    ):
-                        losses, grad_norm = step(chunk)
-                        history.append(losses)
-                        if telemetry is not None:
-                            self._emit_step(
-                                telemetry, losses, len(chunk), grad_norm
-                            )
-                    flush()
-                if telemetry is not None:
-                    telemetry.event("epoch", phase="pretrain", epoch=epoch_index)
-        return history
-
-    @contextmanager
-    def _gradient_step(
-        self,
-        documents: List[ResumeDocument],
-        grad_accumulation: int,
-        num_workers: int,
-    ):
-        """Build :meth:`fit`'s gradient step; yields ``(step, flush)``.
-
-        ``step(chunk)`` takes one optimizer step over the documents
-        indexed by ``chunk`` and returns ``(losses, grad_norm)``;
-        ``flush()`` closes an epoch.  In process the documents are
-        featurised here and each batch runs :meth:`_local_step`.  With
-        ``num_workers >= 1`` each batch runs the two-phase protocol of
-        :meth:`_parallel_step` over worker replicas, whose per-document
-        randomness (corruption, slots, anchors) follows the seeded
-        discipline of :mod:`repro.parallel.randomness`, so every worker
-        count draws identical randomness.
-        """
-        parameters = self.encoder.parameters() + self.heads.parameters()
-        if not num_workers:
-            features = [self.featurizer.featurize(d) for d in documents]
-            engine = GradAccumulator(
-                self.optimizer,
-                parameters,
-                max_grad_norm=self.max_grad_norm,
-                accumulation=grad_accumulation,
-            )
-
-            def step(chunk):
-                self.encoder.train()
-                return self._local_step(
-                    engine, [features[i] for i in chunk], weight=len(chunk)
-                )
-
-            yield step, engine.flush
-            return
-        if grad_accumulation != 1:
-            raise ValueError(
-                "grad_accumulation is not supported with num_workers; "
-                "raise batch_size instead (SCL pools the whole "
-                "effective batch either way)"
-            )
-        from ..parallel import (
-            DataParallelEngine,
-            init_pretrain_worker,
-            make_runner,
-            param_layout,
-            param_size,
+        features = [self.featurizer.featurize(d) for d in documents]
+        engine = GradAccumulator(
+            self.optimizer,
+            self.encoder.parameters() + self.heads.parameters(),
+            max_grad_norm=self.max_grad_norm,
+            accumulation=grad_accumulation,
         )
-
-        payload = {
-            "config": self.config,
-            "tokenizer": self.featurizer.tokenizer,
-            "objectives": self.objectives,
-            "seed": self.seed,
-            "dynamic": self.dynamic_sentence_masking,
-            "documents": documents,
-            "layout": param_layout(parameters),
-        }
-        with make_runner(
-            num_workers, init_pretrain_worker, payload, param_size(parameters)
-        ) as runner:
-            engine = DataParallelEngine(
-                runner, self.optimizer, parameters,
-                max_grad_norm=self.max_grad_norm,
-            )
-            step_counter = itertools.count()
-
-            def step(chunk):
-                with obs.trace(
-                    "pretrain.step", documents=len(chunk), workers=num_workers
+        for epoch_index in range(epochs):
+            with obs.trace("pretrain.epoch", epoch=epoch_index):
+                for chunk in iter_minibatches(
+                    len(documents), batch_size, rng=self.rng, lengths=lengths
                 ):
-                    losses, stepped = self._parallel_step(
-                        engine, chunk, next(step_counter)
+                    self.encoder.train()
+                    losses, grad_norm = self._local_step(
+                        engine, [features[i] for i in chunk], weight=len(chunk)
                     )
-                return losses, engine.last_grad_norm if stepped else None
-
-            yield step, lambda: None
-
-    def _parallel_step(
-        self, engine, chunk: List[int], step: int
-    ) -> Tuple[Dict[str, float], bool]:
-        """One two-phase data-parallel optimizer step over ``chunk``.
-
-        Phase 1 gathers each shard's SCL slot rows and shard-local
-        MLLM/DNSP terms; the parent evaluates the *global* InfoNCE
-        (closed form, exact row gradients) and the global contributing
-        counts; phase 2 sends every worker its surrogate coefficients and
-        reduces the summed slabs into one optimizer step.
-        """
-        from ..parallel import info_nce_grads, publish_cache_hit_rates
-
-        engine.broadcast()
-        shards = engine.shard(chunk)
-        results = engine.dispatch(
-            "forward", shards, [{"step": step}] * len(shards)
-        )
-        publish_cache_hit_rates(results)
-        losses: Dict[str, float] = {}
-
-        row_counts = [
-            0 if r["predicted"] is None else r["predicted"].shape[0]
-            for r in results
-        ]
-        grad_blocks: List[Optional[tuple]] = [None] * len(results)
-        if self.objectives.scl and sum(row_counts):
-            predicted = np.concatenate(
-                [r["predicted"] for r in results if r["predicted"] is not None]
-            )
-            targets = np.concatenate(
-                [r["targets"] for r in results if r["targets"] is not None]
-            )
-            cl_value, g_pred, g_tgt = info_nce_grads(
-                predicted, targets, self.config.temperature
-            )
-            losses["cl"] = cl_value
-            # The workers' surrogates add the row terms unweighted, so the
-            # Eq. 7 λ rides on the gradients themselves.
-            g_pred *= self.config.lambda_cl
-            g_tgt *= self.config.lambda_cl
-            offset = 0
-            for worker_id, count in enumerate(row_counts):
-                if count:
-                    grad_blocks[worker_id] = (
-                        g_pred[offset : offset + count],
-                        g_tgt[offset : offset + count],
-                    )
-                offset += count
-
-        mllm_docs = sum(r["mllm_docs"] for r in results)
-        dnsp_docs = sum(r["dnsp_docs"] for r in results)
-        if mllm_docs:
-            losses["wp"] = (
-                sum(
-                    r["mllm"] * r["mllm_docs"]
-                    for r in results
-                    if r["mllm"] is not None
-                )
-                / mllm_docs
-            )
-        if dnsp_docs:
-            losses["ns"] = (
-                sum(
-                    r["dnsp"] * r["dnsp_docs"]
-                    for r in results
-                    if r["dnsp"] is not None
-                )
-                / dnsp_docs
-            )
-
-        extras = []
-        for worker_id in range(len(results)):
-            block = grad_blocks[worker_id]
-            extras.append(
-                {
-                    "g_pred": None if block is None else block[0],
-                    "g_tgt": None if block is None else block[1],
-                    "mllm_scale": (
-                        self.config.lambda_wp / mllm_docs if mllm_docs else 0.0
-                    ),
-                    "dnsp_scale": (
-                        self.config.lambda_ns / dnsp_docs if dnsp_docs else 0.0
-                    ),
-                }
-            )
-        engine.dispatch("backward", shards, extras)
-        if not losses:
-            return losses, False
-        # Worker surrogates already carry the global 1/D, 1/C and λ
-        # factors, so the all-reduce is a plain sum (no weight rescale).
-        engine.apply(None)
-        losses["total"] = sum(
-            value * weight
-            for value, weight in (
-                (losses.get("wp"), self.config.lambda_wp),
-                (losses.get("cl"), self.config.lambda_cl),
-                (losses.get("ns"), self.config.lambda_ns),
-            )
-            if value is not None
-        )
-        return losses, True
+                    history.append(losses)
+                    if telemetry is not None:
+                        self._emit_step(telemetry, losses, len(chunk), grad_norm)
+                engine.flush()
+            if telemetry is not None:
+                telemetry.event("epoch", phase="pretrain", epoch=epoch_index)
+        return history

@@ -24,44 +24,7 @@ from .. import obs
 from ..nn import clip_grad_norm
 from ..nn.tensor import Tensor, no_grad
 
-__all__ = ["GradAccumulator", "apply_weighted_step", "iter_minibatches"]
-
-
-def apply_weighted_step(
-    optimizer,
-    parameters: Sequence,
-    total_weight: Optional[float] = None,
-    max_grad_norm: Optional[float] = None,
-) -> Optional[float]:
-    """Rescale accumulated gradients, clip, and take one optimizer step.
-
-    The step half of the :class:`GradAccumulator` contract, shared with
-    the data-parallel engine (which reduces weight-scaled worker
-    gradients into ``parameter.grad`` and normalises during the
-    all-reduce, so it passes ``total_weight=None``).  Returns the
-    pre-clip gradient norm, or None when clipping is disabled.
-    """
-    started = time.perf_counter()
-    grad_norm: Optional[float] = None
-    with obs.trace("train.apply_step"):
-        if total_weight is not None and total_weight != 1.0:
-            scale = 1.0 / total_weight
-            with no_grad():
-                for parameter in parameters:
-                    if parameter.grad is not None:
-                        parameter.grad *= scale
-        if max_grad_norm is not None:
-            grad_norm = clip_grad_norm(parameters, max_grad_norm)
-        optimizer.step()
-    telemetry = obs.get_telemetry()
-    if telemetry is not None:
-        telemetry.metrics.counter("train.optimizer_steps").inc()
-        telemetry.metrics.timer("train.apply_step_seconds").observe(
-            time.perf_counter() - started
-        )
-        if grad_norm is not None:
-            telemetry.metrics.gauge("train.grad_norm").set(grad_norm)
-    return grad_norm
+__all__ = ["GradAccumulator", "iter_minibatches"]
 
 
 class GradAccumulator:
@@ -119,12 +82,28 @@ class GradAccumulator:
         return True
 
     def _apply(self) -> None:
-        grad_norm = apply_weighted_step(
-            self.optimizer,
-            self.parameters,
-            total_weight=self._weight,
-            max_grad_norm=self.max_grad_norm,
-        )
+        """Rescale the accumulated gradients by ``1 / total_weight``, clip,
+        and take one optimizer step."""
+        started = time.perf_counter()
+        grad_norm: Optional[float] = None
+        with obs.trace("train.apply_step"):
+            if self._weight != 1.0:
+                scale = 1.0 / self._weight
+                with no_grad():
+                    for parameter in self.parameters:
+                        if parameter.grad is not None:
+                            parameter.grad *= scale
+            if self.max_grad_norm is not None:
+                grad_norm = clip_grad_norm(self.parameters, self.max_grad_norm)
+            self.optimizer.step()
+        telemetry = obs.get_telemetry()
+        if telemetry is not None:
+            telemetry.metrics.counter("train.optimizer_steps").inc()
+            telemetry.metrics.timer("train.apply_step_seconds").observe(
+                time.perf_counter() - started
+            )
+            if grad_norm is not None:
+                telemetry.metrics.gauge("train.grad_norm").set(grad_norm)
         if grad_norm is not None:
             self.last_grad_norm = grad_norm
         self.steps += 1

@@ -53,34 +53,19 @@ class ResumeGenerator:
         return attach_visual_features(document)
 
     def generate_at(self, index: int, prefix: str = "resume") -> ResumeDocument:
-        """Generate the document at ``index`` under the per-index seeding.
+        """Generate the document at ``index`` under per-index seeding.
 
-        Seeds a fresh generator from ``[seed, index]``, so any worker can
-        produce any document independently — the parallel counterpart of
-        :meth:`stream`'s single sequential RNG.  Note the two disciplines
-        draw different streams: ``generate_at(i)`` does not reproduce the
-        ``i``-th document of :meth:`stream`, but it is deterministic in
-        ``(seed, index, prefix)`` and identical for every worker count.
+        Seeds a fresh generator from ``[seed, index]``, so any document can
+        be produced on its own, in any order.  This draws a different
+        stream from :meth:`stream`'s single sequential RNG:
+        ``generate_at(i)`` does not reproduce the ``i``-th document of
+        :meth:`stream`, but it is deterministic in ``(seed, index, prefix)``.
         """
         rng = np.random.default_rng([self.seed, index])
         return self.generate(f"{prefix}-{index:05d}", rng)
 
-    def batch(
-        self, count: int, prefix: str = "resume", num_workers: int = 0
-    ) -> List[ResumeDocument]:
-        """Generate ``count`` documents reproducibly from the base seed.
-
-        ``num_workers >= 1`` shards the index range across data-parallel
-        workers using the per-index seeding of :meth:`generate_at`
-        (deterministic for every worker count, but a different stream
-        than the sequential default — pick one discipline per corpus).
-        """
-        if num_workers:
-            from ..parallel import generate_documents
-
-            return generate_documents(
-                self, count, prefix=prefix, num_workers=num_workers
-            )
+    def batch(self, count: int, prefix: str = "resume") -> List[ResumeDocument]:
+        """Generate ``count`` documents reproducibly from the base seed."""
         return list(self.stream(count, prefix=prefix))
 
     def stream(self, count: int, prefix: str = "resume") -> Iterator[ResumeDocument]:

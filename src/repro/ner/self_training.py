@@ -16,7 +16,6 @@ is *w/o HCS*, ``use_soft_labels=False`` is *w/o SL*, and
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -58,11 +57,6 @@ class SelfTrainConfig:
     use_confidence_selection: bool = True  # w/o HCS ablation
     use_self_distillation: bool = True     # w/o SD ablation
     eval_every: int = 2
-    #: ``>= 1`` shards every gradient step (teacher supervision, KL
-    #: distillation) and the Eq. 9 frequency sweep across data-parallel
-    #: workers (``repro.parallel``); 0 steps in process.  Either way each
-    #: stage runs the same loop.
-    num_workers: int = 0
 
 
 def soft_pseudo_labels(
@@ -138,131 +132,62 @@ class SelfTrainer:
         gold = [e.labels for e in validation]
         return entity_prf(gold, predicted, model.scheme).f1
 
-    @contextmanager
-    def _parallel_engine(
-        self, model: NerTagger, train: Sequence[NerExample], optimizer
-    ):
-        """Yield the data-parallel engine for one stage, or None in process.
-
-        With ``config.num_workers >= 1`` the engine steps ``optimizer``
-        over worker replicas of ``model`` holding ``train``; each stage
-        then builds its gradient step on it instead of stepping locally.
-        """
-        if not self.config.num_workers:
-            yield None
-            return
-        from ..parallel import (
-            DataParallelEngine,
-            init_ner_worker,
-            make_runner,
-            param_layout,
-            param_size,
-        )
-
-        parameters = model.parameters()
-        payload = {
-            "config": model.config,
-            "tokenizer": model.featurizer.tokenizer,
-            "scheme": model.scheme,
-            "examples": list(train),
-            "layout": param_layout(parameters),
-        }
-        with make_runner(
-            self.config.num_workers, init_ner_worker, payload,
-            param_size(parameters),
-        ) as runner:
-            yield DataParallelEngine(
-                runner, optimizer, parameters,
-                max_grad_norm=self.config.max_grad_norm,
-            )
-
     # ------------------------------------------------------------------
     def train_teacher(
         self,
         train: Sequence[NerExample],
         validation: Sequence[NerExample],
     ) -> NerTagger:
-        """Step 1: supervised training on distant labels with early stopping.
-
-        With ``config.num_workers >= 1`` each mini-batch is sharded across
-        worker replicas; a mini-batch loss is a token-mean, so shards
-        reduce with their valid-token counts as weights and the
-        all-reduced gradient is the exact global token-mean gradient for
-        every worker count.  ``config.grad_accumulation`` must then be 1.
-        """
-        if self.config.num_workers and self.config.grad_accumulation != 1:
-            raise ValueError(
-                "grad_accumulation is not supported with num_workers; "
-                "raise batch_size instead (shards keep the padded "
-                "forward pass small)"
-            )
+        """Step 1: supervised training on distant labels with early stopping."""
         model = self.model
         optimizer = self._optimizer(model)
         best_f1 = -1.0
         best_state = None
         bad = 0
-        with self._parallel_engine(model, train, optimizer) as engine:
-            if engine is None:
-                accumulator = GradAccumulator(
-                    optimizer,
-                    model.parameters(),
-                    max_grad_norm=self.config.max_grad_norm,
-                    accumulation=self.config.grad_accumulation,
+        accumulator = GradAccumulator(
+            optimizer,
+            model.parameters(),
+            max_grad_norm=self.config.max_grad_norm,
+            accumulation=self.config.grad_accumulation,
+        )
+        for epoch in range(self.config.teacher_epochs):
+            model.train()
+            epoch_loss = 0.0
+            batches = 0
+            for chunk in iter_minibatches(
+                len(train), self.config.batch_size, rng=self.rng
+            ):
+                loss = model.loss(
+                    model.featurizer.featurize([train[i] for i in chunk])
                 )
-
-                def step(chunk):
-                    loss = model.loss(
-                        model.featurizer.featurize([train[i] for i in chunk])
-                    )
-                    # Unit weight keeps grad_accumulation=1 bit-identical to
-                    # the classic per-batch step; accumulated windows average
-                    # the micro-batch losses evenly (they are token-means
-                    # already).
-                    accumulator.backward(loss)
-                    return float(loss.data)
-
-                flush = accumulator.flush
+                # Unit weight keeps grad_accumulation=1 bit-identical to the
+                # classic per-batch step; accumulated windows average the
+                # micro-batch losses evenly (they are token-means already).
+                accumulator.backward(loss)
+                epoch_loss += float(loss.data)
+                batches += 1
+            accumulator.flush()
+            score = self._validation_f1(model, validation)
+            self.history.append(
+                {"stage": 0.0, "epoch": float(epoch),
+                 "loss": epoch_loss / max(batches, 1), "val_f1": score}
+            )
+            telemetry = obs.get_telemetry()
+            if telemetry is not None:
+                telemetry.event(
+                    "epoch", phase="ner_teacher", epoch=epoch,
+                    loss=epoch_loss / max(batches, 1),
+                )
+                telemetry.event(
+                    "eval", phase="ner_teacher", epoch=epoch, val_f1=score
+                )
+            if score > best_f1:
+                best_f1, bad = score, 0
+                best_state = model.state_dict()
             else:
-
-                def step(chunk):
-                    return engine.grad_step("grad", chunk)[1]
-
-                def flush():
-                    pass
-
-            for epoch in range(self.config.teacher_epochs):
-                model.train()
-                epoch_loss = 0.0
-                batches = 0
-                for chunk in iter_minibatches(
-                    len(train), self.config.batch_size, rng=self.rng
-                ):
-                    loss = step(chunk)
-                    if loss is not None:
-                        epoch_loss += loss
-                    batches += 1
-                flush()
-                score = self._validation_f1(model, validation)
-                self.history.append(
-                    {"stage": 0.0, "epoch": float(epoch),
-                     "loss": epoch_loss / max(batches, 1), "val_f1": score}
-                )
-                telemetry = obs.get_telemetry()
-                if telemetry is not None:
-                    telemetry.event(
-                        "epoch", phase="ner_teacher", epoch=epoch,
-                        loss=epoch_loss / max(batches, 1),
-                    )
-                    telemetry.event(
-                        "eval", phase="ner_teacher", epoch=epoch, val_f1=score
-                    )
-                if score > best_f1:
-                    best_f1, bad = score, 0
-                    best_state = model.state_dict()
-                else:
-                    bad += 1
-                    if bad >= self.config.teacher_patience:
-                        break
+                bad += 1
+                if bad >= self.config.teacher_patience:
+                    break
         if best_state is not None:
             model.load_state_dict(best_state)
         return model
@@ -300,10 +225,6 @@ class SelfTrainer:
         The caller's teacher is cloned, never mutated, so one teacher can
         seed several student runs (ablations, threshold sweeps).
 
-        With ``config.num_workers >= 1`` the student's KL gradients are
-        sharded across data-parallel workers (teacher pseudo-labeling
-        stays parent-side so the Eq. 9–11 targets remain global).
-
         Each iteration emits a ``step`` event (phase ``self_train``) whose
         ``selection_rate`` field becomes the ``self_train.selection_rate``
         alert series — a custom ``Rule("low-selection",
@@ -318,124 +239,88 @@ class SelfTrainer:
         best_f1 = self._validation_f1(student, validation)
         frequency = None  # Eq. 9's corpus-level p_c; refreshed with the teacher
         telemetry = obs.get_telemetry()
-        num_workers = self.config.num_workers
-        workers = {"workers": num_workers} if num_workers else {}
-        with self._parallel_engine(student, train, optimizer) as engine:
-            if engine is None:
+        for iteration in range(1, self.config.iterations + 1):
+            with obs.trace("self_train.iteration", iteration=iteration):
+                batch_idx = self.rng.choice(
+                    len(train), size=min(self.config.batch_size, len(train)),
+                    replace=False,
+                )
+                batch = [train[i] for i in batch_idx]
+                features = student.featurizer.featurize(batch)
 
-                def step(batch_idx, features, targets, mask):
-                    student.train()
-                    optimizer.zero_grad()
-                    loss = kl_div_loss(
-                        student.logits(features), targets, mask=mask
+                probs = teacher.predict_probs(batch)
+                if frequency is None:
+                    frequency = self._class_frequency(teacher, train)
+                soft = soft_pseudo_labels(probs, features.word_mask, frequency)
+                if self.config.use_soft_labels:
+                    targets = soft
+                else:
+                    targets = hard_to_onehot(probs)
+                mask = features.word_mask
+                valid_tokens = float(features.word_mask.sum())
+                selection_rate = 1.0
+                if self.config.use_confidence_selection:
+                    selected = confidence_mask(soft, mask, self.config.gamma)
+                    if selected.sum() == 0:
+                        # Early in training no token may clear γ; fall
+                        # back to the most confident half so the
+                        # student still learns.
+                        selected = self._top_half_mask(soft, mask)
+                    # Eq. 11–12: share of valid tokens that cleared the
+                    # confidence threshold and feed the KL loss.
+                    selection_rate = (
+                        float(selected.sum()) / valid_tokens
+                        if valid_tokens else 0.0
                     )
-                    loss.backward()
-                    clip_grad_norm(student.parameters(), self.config.max_grad_norm)
-                    optimizer.step()
-                    return float(loss.data)
-            else:
+                    mask = selected
 
-                def step(batch_idx, features, targets, mask):
-                    # Targets are global (teacher side stays here); only the
-                    # student's KL gradient is sharded.
-                    engine.broadcast()
-                    row_shards = engine.shard(list(range(len(batch_idx))))
-                    shards = [
-                        [int(batch_idx[row]) for row in rows]
-                        for rows in row_shards
-                    ]
-                    extras = [
-                        {"targets": targets[rows], "mask": mask[rows]}
-                        for rows in row_shards
-                    ]
-                    results = engine.dispatch("kl_grad", shards, extras)
-                    total_weight = sum(r["weight"] for r in results)
-                    if total_weight <= 0:
-                        return 0.0
-                    engine.apply(total_weight)
-                    return (
-                        sum(r["loss"] * r["weight"] for r in results)
-                        / total_weight
-                    )
+                student.train()
+                optimizer.zero_grad()
+                loss_tensor = kl_div_loss(
+                    student.logits(features), targets, mask=mask
+                )
+                loss_tensor.backward()
+                clip_grad_norm(student.parameters(), self.config.max_grad_norm)
+                optimizer.step()
+                loss = float(loss_tensor.data)
 
-            for iteration in range(1, self.config.iterations + 1):
-                with obs.trace(
-                    "self_train.iteration", iteration=iteration, **workers
-                ):
-                    batch_idx = self.rng.choice(
-                        len(train), size=min(self.config.batch_size, len(train)),
-                        replace=False,
-                    )
-                    batch = [train[i] for i in batch_idx]
-                    features = student.featurizer.featurize(batch)
-
-                    probs = teacher.predict_probs(batch)
-                    if frequency is None:
-                        frequency = self._class_frequency(
-                            teacher, train, engine=engine
-                        )
-                    soft = soft_pseudo_labels(probs, features.word_mask, frequency)
-                    if self.config.use_soft_labels:
-                        targets = soft
-                    else:
-                        targets = hard_to_onehot(probs)
-                    mask = features.word_mask
-                    valid_tokens = float(features.word_mask.sum())
-                    selection_rate = 1.0
-                    if self.config.use_confidence_selection:
-                        selected = confidence_mask(soft, mask, self.config.gamma)
-                        if selected.sum() == 0:
-                            # Early in training no token may clear γ; fall
-                            # back to the most confident half so the
-                            # student still learns.
-                            selected = self._top_half_mask(soft, mask)
-                        # Eq. 11–12: share of valid tokens that cleared the
-                        # confidence threshold and feed the KL loss.
-                        selection_rate = (
-                            float(selected.sum()) / valid_tokens
-                            if valid_tokens else 0.0
-                        )
-                        mask = selected
-
-                    loss = step(batch_idx, features, targets, mask)
-
-                record = {"stage": 1.0, "epoch": float(iteration),
-                          "loss": loss, "val_f1": best_f1}
-                teacher_refreshed = False
-                if iteration % self.config.eval_every == 0:
-                    score = self._validation_f1(student, validation)
-                    record["val_f1"] = score
-                    if telemetry is not None:
-                        telemetry.event(
-                            "eval", phase="self_train", iteration=iteration,
-                            val_f1=score,
-                        )
-                    if score > best_f1:
-                        # The improved student re-initialises the teacher.
-                        best_f1 = score
-                        teacher.load_state_dict(student.state_dict())
-                        frequency = None  # p_c must track the new teacher
-                        teacher_refreshed = True
-                self.history.append(record)
+            record = {"stage": 1.0, "epoch": float(iteration),
+                      "loss": loss, "val_f1": best_f1}
+            teacher_refreshed = False
+            if iteration % self.config.eval_every == 0:
+                score = self._validation_f1(student, validation)
+                record["val_f1"] = score
                 if telemetry is not None:
-                    telemetry.metrics.gauge("self_train.selection_rate").set(
-                        selection_rate
-                    )
-                    telemetry.metrics.counter("self_train.iterations").inc()
-                    if teacher_refreshed:
-                        telemetry.metrics.counter(
-                            "self_train.teacher_refreshes"
-                        ).inc()
                     telemetry.event(
-                        "step",
-                        phase="self_train",
-                        step=iteration,
-                        losses={"kl": loss},
-                        selection_rate=selection_rate,
-                        selected_tokens=float(mask.sum()),
-                        valid_tokens=valid_tokens,
-                        teacher_refreshed=teacher_refreshed,
+                        "eval", phase="self_train", iteration=iteration,
+                        val_f1=score,
                     )
+                if score > best_f1:
+                    # The improved student re-initialises the teacher.
+                    best_f1 = score
+                    teacher.load_state_dict(student.state_dict())
+                    frequency = None  # p_c must track the new teacher
+                    teacher_refreshed = True
+            self.history.append(record)
+            if telemetry is not None:
+                telemetry.metrics.gauge("self_train.selection_rate").set(
+                    selection_rate
+                )
+                telemetry.metrics.counter("self_train.iterations").inc()
+                if teacher_refreshed:
+                    telemetry.metrics.counter(
+                        "self_train.teacher_refreshes"
+                    ).inc()
+                telemetry.event(
+                    "step",
+                    phase="self_train",
+                    step=iteration,
+                    losses={"kl": loss},
+                    selection_rate=selection_rate,
+                    selected_tokens=float(mask.sum()),
+                    valid_tokens=valid_tokens,
+                    teacher_refreshed=teacher_refreshed,
+                )
         return student
 
     def _class_frequency(
@@ -443,25 +328,8 @@ class SelfTrainer:
         teacher: NerTagger,
         train: Sequence[NerExample],
         chunk: int = 64,
-        engine=None,
     ) -> np.ndarray:
-        """Eq. 9's unnormalised class frequency over the full training set.
-
-        With a data-parallel ``engine`` the sweep broadcasts the teacher
-        through the shared parameter slab and fans the corpus across the
-        workers; the per-example partial sums come back in global order
-        and are reduced in one :func:`numpy.sum`, so the result does not
-        depend on the worker count.
-        """
-        if engine is not None:
-            from ..parallel import param_vector
-
-            param_vector(teacher.parameters(), out=engine.runner.params)
-            shards = engine.shard(list(range(len(train))))
-            results = engine.dispatch(
-                "frequency", shards, [{"chunk": chunk}] * len(shards)
-            )
-            return np.concatenate(results, axis=0).sum(axis=0)
+        """Eq. 9's unnormalised class frequency over the full training set."""
         num_labels = teacher.scheme.num_labels
         frequency = np.zeros(num_labels)
         for start in range(0, len(train), chunk):

@@ -61,7 +61,6 @@ from .metrics import (
     Timer,
 )
 from .profiler import DEFAULT_PROFILE_HZ, Profiler
-from .relay import PoolRelay, merge_worker_spool, worker_session
 from .runlog import RunLogger, read_run_log, tail_events, write_json
 from .slo import Slo, SloTracker, default_slos
 from .tracing import Span, Tracer, current_span
@@ -93,9 +92,6 @@ __all__ = [
     "profile_ner_examples",
     "Profiler",
     "DEFAULT_PROFILE_HZ",
-    "PoolRelay",
-    "worker_session",
-    "merge_worker_spool",
     "TelemetryServer",
     "ReadinessCheck",
     "alert_readiness_check",
@@ -306,9 +302,7 @@ def telemetry(
     (``profiler`` passes a pre-configured :class:`Profiler` instead); it
     starts with the session, streams ``profile`` events into the run log,
     and stops — flushing its final delta — before the closing metric
-    snapshot.  :mod:`repro.parallel` pools created inside the session
-    propagate the rate to their spawn workers and relay the worker
-    profiles back on join.
+    snapshot.
 
     ``slos=True`` tracks :func:`default_slos` (pass a list of
     :class:`Slo` for custom objectives); burn-rate breaches fire through

@@ -22,7 +22,7 @@ import json
 import re
 import threading
 import time
-from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, IO, Iterator, List, Sequence, Tuple, Union
 
 __all__ = [
     "Counter",
@@ -248,36 +248,6 @@ class Histogram(_Metric):
             },
         }
 
-    def merge_value(self, value: Dict[str, object], **labels) -> None:
-        """Fold one snapshot series (another process's state) into this one.
-
-        The relay's histogram path: a child registry's snapshot carries
-        per-bucket counts, sum, min and max — adding them bucket-by-bucket
-        is exact as long as the boundaries match (checked; boundaries are
-        construction-fixed on both sides).
-        """
-        buckets = dict(value.get("buckets") or {})
-        expected = {str(b) for b in self.buckets} | {"+Inf"}
-        if set(buckets) != expected:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: snapshot buckets "
-                f"{sorted(buckets)} do not match {sorted(expected)}"
-            )
-        count = int(value.get("count", 0))
-        key = _label_key(labels)
-        with self._lock:
-            state = self._series.get(key)
-            if state is None:
-                state = self._series[key] = _HistogramState(len(self.buckets))
-            for index, bound in enumerate(self.buckets):
-                state.counts[index] += int(buckets[str(bound)])
-            state.counts[-1] += int(buckets["+Inf"])
-            state.count += count
-            state.total += float(value.get("sum", 0.0))
-            if count:
-                state.minimum = min(state.minimum, float(value.get("min", 0.0)))
-                state.maximum = max(state.maximum, float(value.get("max", 0.0)))
-
 
 class Timer(Histogram):
     """A latency histogram with a ``time()`` context manager.
@@ -439,47 +409,6 @@ class MetricsRegistry:
         """Zero every series of every metric (names stay registered)."""
         for metric in self:
             metric.reset()
-
-    def merge_snapshot(
-        self,
-        snapshot: Dict[str, Dict[str, object]],
-        extra_labels: Optional[Dict[str, object]] = None,
-    ) -> int:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        The relay's fan-in primitive: a worker process snapshots its child
-        registry into its spool and the parent merges it here, usually
-        with ``extra_labels={"worker": "0"}`` so every relayed series is
-        distinguishable.  Counters add, gauges last-write-win, histograms
-        and timers merge bucket-exactly (matching boundaries required).
-        Returns the number of series merged.
-        """
-        extra = dict(extra_labels or {})
-        merged = 0
-        for name, dump in snapshot.items():
-            kind = dump.get("kind")
-            help_text = str(dump.get("help", ""))
-            for series in dump.get("series", []):
-                labels = dict(series.get("labels") or {})
-                labels.update(extra)
-                value = series.get("value")
-                if kind == "counter":
-                    self.counter(name, help_text).inc(float(value), **labels)
-                elif kind == "gauge":
-                    self.gauge(name, help_text).set(float(value), **labels)
-                elif kind in ("histogram", "timer"):
-                    bounds = sorted(
-                        float(b) for b in (value.get("buckets") or {})
-                        if b != "+Inf"
-                    )
-                    factory = self.timer if kind == "timer" else self.histogram
-                    factory(name, help_text, buckets=bounds).merge_value(
-                        value, **labels
-                    )
-                else:
-                    continue
-                merged += 1
-        return merged
 
     def to_prometheus(self) -> str:
         """Prometheus text-exposition dump of every series (version 0.0.4).

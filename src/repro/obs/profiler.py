@@ -22,8 +22,7 @@ span (the root of the sampled thread's open-span stack).
 Aggregates flush as ``profile`` events into the active
 :class:`~repro.obs.runlog.RunLogger` stream (periodically plus once at
 stop), each carrying a bounded, merge-safe *delta* since the previous
-flush — ``repro.obs.report --profile`` sums them back together, across
-processes too once the relay has folded worker spools into one log.
+flush — ``repro.obs.report --profile`` sums them back together.
 
 Discipline: stack identity lives **only** in event payloads.  The sole
 metric the profiler touches is ``profiler.samples{thread=...}`` — bounded
@@ -254,8 +253,7 @@ class Profiler:
 
         Returns the emitted payload (None when nothing was pending).  The
         payload carries the *delta* since the previous flush, so summing
-        ``profile`` events — one log, or many worker spools merged into
-        one — reconstructs the totals exactly.  Stacks are capped at
+        ``profile`` events reconstructs the totals exactly.  Stacks are capped at
         ``max_stacks_per_flush`` by count; the cap is reported in
         ``stacks_dropped`` rather than silently applied.
         """

@@ -77,10 +77,9 @@ def _format_bytes(value: float) -> str:
 def aggregate_profile(events: List[Dict]) -> Optional[Dict[str, object]]:
     """Fold every ``profile`` event back into one cumulative aggregate.
 
-    ``profile`` events are *deltas* (per flush, per process), so summation
-    is exact — including across a relay-merged log where worker events
-    carry a ``worker`` field.  Seconds are estimated per event from its
-    own ``hz`` (worker and parent rates may differ).  Memory watermarks
+    ``profile`` events are *deltas* (per flush), so summation is exact.
+    Seconds are estimated per event from its own ``hz``.  Events that
+    carry a ``worker`` field are keyed as that process; memory watermarks
     are maxed per process.
     """
     profiles = [e for e in events if e.get("event") == "profile"]

@@ -18,16 +18,11 @@ readable with nothing but ``json.loads``.  Event kinds:
 ``profile``
     A flush of the sampling profiler: collapsed stacks, hot functions,
     span self-time and memory watermarks (see :mod:`repro.obs.profiler`).
-``worker_step``
-    One task executed by a :mod:`repro.parallel` worker, timed and
-    timestamped *in the worker* and relayed into the parent log.
 ``run_end``
     Closes the run with a status and total wall time.
 
 Every record carries ``event``, ``ts`` (wall-clock epoch seconds) and
-``elapsed`` (monotonic seconds since the logger was opened) — except
-records forwarded through :meth:`RunLogger.relay`, which keep the
-``ts``/``elapsed`` their originating process stamped.
+``elapsed`` (monotonic seconds since the logger was opened).
 """
 
 from __future__ import annotations
@@ -145,23 +140,6 @@ class RunLogger:
             "elapsed": time.perf_counter() - self._opened,
         }
         record.update(fields)
-        line = json.dumps(record, default=_json_default)
-        with self._lock:
-            if self._handle.closed:
-                return record
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            self.events_written += 1
-        return record
-
-    def relay(self, record: Dict[str, object]) -> Dict[str, object]:
-        """Write an already-stamped record from another process verbatim.
-
-        The cross-process fan-in path (:mod:`repro.obs.relay`): worker
-        events keep their original ``ts``/``elapsed`` so the merged log
-        preserves true wall-clock ordering instead of collapsing every
-        worker event onto the merge instant.
-        """
         line = json.dumps(record, default=_json_default)
         with self._lock:
             if self._handle.closed:

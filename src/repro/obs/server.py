@@ -33,7 +33,7 @@ default, reference-counted on server start/stop, one module-global check
 per span finish while enabled.
 
 Thread creation here is deliberate and lint-sanctioned (RN011) alongside
-:mod:`repro.parallel.pool` and :mod:`repro.obs.profiler`.
+:mod:`repro.obs.profiler`.
 """
 
 from __future__ import annotations

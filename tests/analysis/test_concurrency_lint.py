@@ -4,8 +4,8 @@ inline suppressions."""
 
 from repro.analysis.lint import lint_source
 
-LIB_PATH = "src/repro/parallel/example.py"
-POOL_PATH = "src/repro/parallel/pool.py"
+LIB_PATH = "src/repro/core/example.py"
+SERVER_PATH = "src/repro/obs/server.py"
 OBS_PATH = "src/repro/obs/example.py"
 
 
@@ -332,12 +332,19 @@ class TestRN011:
         )
         assert codes(lint_source(source, path=LIB_PATH)) == ["RN011"]
 
-    def test_pool_module_sanctioned(self):
+    def test_server_module_sanctioned(self):
         source = (
             "def launch(ctx, fn):\n"
             "    return ctx.Process(target=fn)\n"
         )
-        assert lint_source(source, path=POOL_PATH) == []
+        assert lint_source(source, path=SERVER_PATH) == []
+
+    def test_pool_module_no_longer_sanctioned(self):
+        source = (
+            "def launch(ctx, fn):\n"
+            "    return ctx.Process(target=fn)\n"
+        )
+        assert codes(lint_source(source, path="src/repro/core/pool.py")) == ["RN011"]
 
     def test_tests_out_of_scope(self):
         source = (
@@ -491,19 +498,13 @@ class TestRN012StackIdentity:
 
 
 class TestProfilerModuleDiscipline:
-    """The shipped profiler/relay modules must themselves lint clean."""
+    """The shipped profiler module must itself lint clean."""
 
     def test_profiler_source_lints_clean(self):
         import pathlib
 
         source = pathlib.Path("src/repro/obs/profiler.py").read_text()
         assert lint_source(source, path="src/repro/obs/profiler.py") == []
-
-    def test_relay_source_lints_clean(self):
-        import pathlib
-
-        source = pathlib.Path("src/repro/obs/relay.py").read_text()
-        assert lint_source(source, path="src/repro/obs/relay.py") == []
 
     def test_profiler_thread_is_sanctioned_but_copies_are_not(self):
         # the same daemon-thread idiom outside profiler.py stays flagged

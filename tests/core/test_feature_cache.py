@@ -1,10 +1,10 @@
-"""FeatureCache multi-process discipline: per-process entries, fork guard.
+"""FeatureCache process discipline: per-process entries, fork guard.
 
 The cache keys on ``id(document)``, which is only meaningful inside one
-process.  ``repro.parallel`` therefore never ships a cache across the
-boundary (workers build their own), and a module-level ``os.register_at_fork``
-guard clears any live cache in a forked child so stale identity keys can
-never alias a new object at a recycled address.
+process, so a cache is never shipped across a process boundary, and a
+module-level ``os.register_at_fork`` guard clears any live cache in a
+forked child so stale identity keys can never alias a new object at a
+recycled address.
 """
 
 import os
@@ -142,21 +142,6 @@ class TestHitRateGauges:
             gauge = tel.metrics.gauge("feature_cache.hit_rate")
             assert gauge.value() == pytest.approx(featurizer.cache.hit_rate)
             assert featurizer.cache.hit_rate == pytest.approx(0.5)
-
-    def test_parallel_featurize_publishes_per_worker_gauges(
-        self, local_backend, tiny_docs, tokenizer, config
-    ):
-        from repro.parallel import featurize_documents
-
-        with obs.telemetry() as tel:
-            features = featurize_documents(
-                tiny_docs, tokenizer, config, num_workers=2, repeats=2
-            )
-            gauge = tel.metrics.gauge("parallel.feature_cache.hit_rate")
-            # Two repeats through fresh worker-local caches -> 50% hit rate.
-            assert gauge.value(worker="0") == pytest.approx(0.5)
-            assert gauge.value(worker="1") == pytest.approx(0.5)
-        assert len(features) == len(tiny_docs)
 
     def test_cache_disabled_when_size_zero(self, tokenizer, config):
         assert Featurizer(tokenizer, config, cache_size=0).cache is None

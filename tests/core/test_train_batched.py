@@ -335,3 +335,11 @@ class TestMinibatchFit:
         )
         assert len(history["loss"]) == 2
         assert all(np.isfinite(v) for v in history["loss"])
+
+    def test_fit_rejects_worker_count(self, classifier, tiny_docs):
+        labeled = [LabeledDocument.from_gold(d) for d in tiny_docs[:2]]
+        before = classifier.state_dict()
+        with pytest.raises(ValueError, match="num_workers was removed"):
+            BlockTrainer(classifier, seed=0).fit(labeled, num_workers=1)
+        for name, value in classifier.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])

@@ -122,6 +122,32 @@ class TestResumeGenerator:
         assert tag == "PInfo"
 
 
+def _doc_fingerprint(document):
+    return (
+        document.doc_id,
+        document.num_sentences,
+        [s.text for s in document.sentences],
+    )
+
+
+class TestGenerateAt:
+    def test_deterministic_in_seed_and_index(self):
+        generator = ResumeGenerator(seed=3, content_config=ContentConfig.tiny())
+        a = generator.generate_at(5)
+        b = generator.generate_at(5)
+        assert _doc_fingerprint(a) == _doc_fingerprint(b)
+
+    def test_indices_draw_distinct_documents(self):
+        generator = ResumeGenerator(seed=3, content_config=ContentConfig.tiny())
+        a, b = generator.generate_at(0), generator.generate_at(1)
+        assert a.doc_id != b.doc_id
+        assert _doc_fingerprint(a) != _doc_fingerprint(b)
+
+    def test_doc_id_uses_prefix_and_index(self):
+        generator = ResumeGenerator(seed=3, content_config=ContentConfig.tiny())
+        assert generator.generate_at(7, prefix="cv").doc_id == "cv-00007"
+
+
 class TestRender:
     @pytest.fixture(scope="class")
     def doc(self):

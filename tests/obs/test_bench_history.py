@@ -147,11 +147,10 @@ class TestCommittedHistory:
         """The committed seeds must keep ``--check`` green."""
         assert bh.main(["--check"]) == 0
 
-    def test_repo_history_has_all_four_benches(self):
+    def test_repo_history_has_all_three_benches(self):
         files = bh._history_files(bh.DEFAULT_HISTORY_DIR, ())
         names = {bh.bench_name(path) for path in files}
-        assert {"block_inference", "training", "parallel",
-                "quantized_inference"} <= names
+        assert {"block_inference", "training", "quantized_inference"} <= names
         for path in files:
             for record in bh.load_history(path):
                 assert record["summary"], f"empty summary in {path}"

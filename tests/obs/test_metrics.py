@@ -416,63 +416,3 @@ class TestValidateExposition:
         text = 'h_bucket{le="+Inf"} 2\nh_count 5\n'
         errors = validate_exposition(text)
         assert any("_count" in error for error in errors)
-
-
-class TestMergeSnapshot:
-    def test_counters_add_and_gain_extra_labels(self):
-        parent = MetricsRegistry()
-        parent.counter("hits").inc(5, worker="0")
-        child = MetricsRegistry()
-        child.counter("hits").inc(3)
-        merged = parent.merge_snapshot(
-            child.snapshot(), extra_labels={"worker": "1"}
-        )
-        assert merged == 1
-        assert parent.counter("hits").value(worker="0") == 5
-        assert parent.counter("hits").value(worker="1") == 3
-
-    def test_gauge_last_write_wins(self):
-        parent = MetricsRegistry()
-        child = MetricsRegistry()
-        child.gauge("depth").set(7)
-        parent.merge_snapshot(child.snapshot(), extra_labels={"worker": "2"})
-        assert parent.gauge("depth").value(worker="2") == 7
-
-    def test_histogram_merge_is_bucket_exact(self):
-        child = MetricsRegistry()
-        hist = child.histogram("sizes", buckets=(1.0, 5.0))
-        for value in (0.5, 3.0, 10.0):
-            hist.observe(value)
-        parent = MetricsRegistry()
-        parent.merge_snapshot(child.snapshot(), extra_labels={"worker": "0"})
-        merged = parent.histogram("sizes", buckets=(1.0, 5.0)).value(worker="0")
-        assert merged["count"] == 3
-        assert merged["buckets"] == {"1.0": 1, "5.0": 1, "+Inf": 1}
-        assert merged["min"] == 0.5 and merged["max"] == 10.0
-
-    def test_timer_merges_as_timer_not_histogram(self):
-        child = MetricsRegistry()
-        child.timer("step.seconds").observe(0.2)
-        parent = MetricsRegistry()
-        parent.merge_snapshot(child.snapshot())
-        assert parent.timer("step.seconds").value()["count"] == 1
-        with pytest.raises(ValueError):
-            parent.histogram("step.seconds")
-
-    def test_bucket_boundary_mismatch_rejected(self):
-        target = Histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            target.merge_value(
-                {"count": 1, "sum": 0.5, "min": 0.5, "max": 0.5,
-                 "buckets": {"1.0": 1, "+Inf": 0}}
-            )
-
-    def test_merge_twice_accumulates(self):
-        child = MetricsRegistry()
-        child.counter("hits").inc(2)
-        parent = MetricsRegistry()
-        snapshot = child.snapshot()
-        parent.merge_snapshot(snapshot, extra_labels={"worker": "0"})
-        parent.merge_snapshot(snapshot, extra_labels={"worker": "1"})
-        assert parent.counter("hits").value(worker="0") == 2
-        assert parent.counter("hits").value(worker="1") == 2

@@ -28,8 +28,8 @@ def test_explicit_count_overrides_preset_environment(monkeypatch):
 
 
 def test_blas_thread_counts_reports_every_variable(monkeypatch):
-    # The parallel worker ready-handshake ships this dict, so it must
-    # cover exactly the variables limit_blas_threads manages.
+    # Benchmark records report this dict, so it must cover exactly the
+    # variables limit_blas_threads manages.
     for var in _ENV_VARS:
         monkeypatch.delenv(var, raising=False)
     assert blas_thread_counts() == {var: None for var in _ENV_VARS}
