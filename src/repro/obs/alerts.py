@@ -353,9 +353,8 @@ class AlertEngine:
     session raises :class:`AlertError` *after* logging the alert, so the
     run log still carries the evidence).
 
-    Thread-safety: events and spans may arrive from any thread (the
-    worker pool's collector, a background drift monitor, the training
-    loop itself), so every piece of engine state — series windows,
+    Thread-safety: events and spans may arrive from any thread (a
+    background drift monitor, the training loop itself), so every piece of engine state — series windows,
     cooldowns, the alert log — is mutated under one engine lock.
     Condition functions are pure over a small copied window, so holding
     the lock across evaluation is cheap and keeps window/cooldown/alert

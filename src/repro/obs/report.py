@@ -78,9 +78,8 @@ def aggregate_profile(events: List[Dict]) -> Optional[Dict[str, object]]:
     """Fold every ``profile`` event back into one cumulative aggregate.
 
     ``profile`` events are *deltas* (per flush), so summation is exact.
-    Seconds are estimated per event from its own ``hz``.  Events that
-    carry a ``worker`` field are keyed as that process; memory watermarks
-    are maxed per process.
+    Seconds are estimated per event from its own ``hz``; memory
+    watermarks are maxed across events.
     """
     profiles = [e for e in events if e.get("event") == "profile"]
     if not profiles:
@@ -89,16 +88,12 @@ def aggregate_profile(events: List[Dict]) -> Optional[Dict[str, object]]:
     seconds = 0.0
     functions: Dict[str, Dict[str, float]] = {}
     spans: Dict[str, Dict[str, float]] = {}
-    stacks: Dict[Tuple[str, str, str], int] = {}
+    stacks: Dict[Tuple[str, str], int] = {}
     stacks_dropped = 0
-    memory: Dict[str, Dict[str, object]] = {}
-    processes = set()
+    memory: Dict[str, object] = {}
     for event in profiles:
         hz = float(event.get("hz") or 0.0)
         per_sample = 1.0 / hz if hz > 0 else 0.0
-        worker = event.get("worker")
-        process = "parent" if worker is None else f"worker{worker}"
-        processes.add(process)
         delta = int(event.get("samples") or 0)
         samples += delta
         seconds += delta * per_sample
@@ -116,26 +111,24 @@ def aggregate_profile(events: List[Dict]) -> Optional[Dict[str, object]]:
             slot["samples"] += count
             slot["seconds"] += count * per_sample
         for entry in event.get("stacks") or ():
-            key = (process, str(entry.get("thread")), str(entry.get("stack")))
+            key = (str(entry.get("thread")), str(entry.get("stack")))
             stacks[key] = stacks.get(key, 0) + int(entry.get("count") or 0)
         event_memory = event.get("memory") or {}
         for kind in ("peak_rss_bytes", "tracemalloc_peak_bytes"):
             if event_memory.get(kind) is not None:
-                per_process = memory.setdefault(kind, {})
-                per_process[process] = max(
-                    int(per_process.get(process, 0)), int(event_memory[kind])
+                memory[kind] = max(
+                    int(memory.get(kind, 0)), int(event_memory[kind])
                 )
         for kind in ("span_peak_rss_bytes", "span_tracemalloc_peak_bytes"):
             for span_name, peak in (event_memory.get(kind) or {}).items():
-                per_process = memory.setdefault(kind, {}).setdefault(process, {})
-                per_process[span_name] = max(
-                    int(per_process.get(span_name, 0)), int(peak)
+                per_span = memory.setdefault(kind, {})
+                per_span[span_name] = max(
+                    int(per_span.get(span_name, 0)), int(peak)
                 )
     return {
         "samples": samples,
         "estimated_seconds": seconds,
         "flushes": len(profiles),
-        "processes": sorted(processes),
         "stacks_dropped": stacks_dropped,
         "hot_functions": [
             {
@@ -155,9 +148,8 @@ def aggregate_profile(events: List[Dict]) -> Optional[Dict[str, object]]:
             )
         },
         "stacks": [
-            {"process": process, "thread": thread, "stack": stack,
-             "count": count}
-            for (process, thread, stack), count in sorted(
+            {"thread": thread, "stack": stack, "count": count}
+            for (thread, stack), count in sorted(
                 stacks.items(), key=lambda item: (-item[1], item[0])
             )
         ],
@@ -169,9 +161,7 @@ def _profile_section(profile: Dict[str, object], top_n: int = 15) -> List[str]:
     """Text lines of the ``--profile`` report section."""
     lines: List[str] = ["", "profile:"]
     lines.append(
-        f"  samples: {profile['samples']} across "
-        f"{len(profile['processes'])} process(es) "
-        f"({', '.join(profile['processes'])}), "
+        f"  samples: {profile['samples']}, "
         f"~{_format_seconds(float(profile['estimated_seconds']))} on-CPU"
     )
     if profile.get("stacks_dropped"):
@@ -213,25 +203,17 @@ def _profile_section(profile: Dict[str, object], top_n: int = 15) -> List[str]:
         lines.append("  top stacks (collapsed, root first):")
         for entry in top_stacks:
             lines.append(
-                f"    {entry['count']:>6}  [{entry['process']}/{entry['thread']}]"
+                f"    {entry['count']:>6}  [{entry['thread']}]"
             )
             lines.append(f"            {entry['stack']}")
     memory = profile.get("memory") or {}
     rss = memory.get("peak_rss_bytes")
     if rss:
-        peaks = ", ".join(
-            f"{process}={_format_bytes(peak)}"
-            for process, peak in sorted(rss.items())
-        )
         lines.append("")
-        lines.append(f"  peak RSS: {peaks}")
+        lines.append(f"  peak RSS: {_format_bytes(rss)}")
     traced = memory.get("tracemalloc_peak_bytes")
     if traced:
-        peaks = ", ".join(
-            f"{process}={_format_bytes(peak)}"
-            for process, peak in sorted(traced.items())
-        )
-        lines.append(f"  tracemalloc peak: {peaks}")
+        lines.append(f"  tracemalloc peak: {_format_bytes(traced)}")
     return lines
 
 

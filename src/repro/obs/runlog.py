@@ -74,10 +74,9 @@ def tail_events(
     """Events appended past byte ``offset``; returns ``(events, offset')``.
 
     The incremental half of :func:`read_run_log`, for polling a *live*
-    log (``repro.obs.report --follow``, like the relay's spool reader):
-    only byte ranges terminated by a newline are consumed, so a writer
-    caught mid-line keeps its partial record for the next poll instead
-    of poisoning this one.  A missing file reads as "no new events yet".
+    log (``repro.obs.report --follow``): only byte ranges terminated by
+    a newline are consumed, so a writer caught mid-line keeps its
+    partial record for the next poll instead of poisoning this one.  A missing file reads as "no new events yet".
     """
     try:
         with open(path, "rb") as handle:

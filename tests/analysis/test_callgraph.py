@@ -66,7 +66,7 @@ def first_call(g, module, name, cls=None):
 
 class TestModuleNames:
     def test_src_layout(self):
-        assert module_name_for("src/repro/parallel/pool.py") == "repro.parallel.pool"
+        assert module_name_for("src/repro/obs/server.py") == "repro.obs.server"
 
     def test_package_init(self):
         assert module_name_for("src/repro/obs/__init__.py") == "repro.obs"

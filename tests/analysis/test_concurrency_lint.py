@@ -398,7 +398,7 @@ class TestRN012:
         assert codes(lint_source(source, path=LIB_PATH)) == ["RN012"]
 
     def test_worker_id_over_bounded_iterable_clean(self):
-        # The pool's own idiom: one series per worker, bounded by design.
+        # One series per enumerated item, bounded by design.
         source = (
             "def publish(timer, durations):\n"
             "    for worker_id, seconds in enumerate(durations):\n"
@@ -408,8 +408,8 @@ class TestRN012:
 
     def test_range_loop_clean(self):
         source = (
-            "def publish(gauge, num_workers):\n"
-            "    for worker in range(num_workers):\n"
+            "def publish(gauge, shards):\n"
+            "    for worker in range(shards):\n"
             "        gauge.set(0.0, worker=str(worker))\n"
         )
         assert lint_source(source, path=LIB_PATH) == []

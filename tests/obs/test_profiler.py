@@ -123,6 +123,27 @@ class TestCollapse:
             raise AssertionError("hz=0 must be rejected")
 
 
+class TestAggregate:
+    def test_deltas_sum_and_watermarks_max(self):
+        def event(count, rss, span_rss):
+            return {
+                "event": "profile", "hz": 100.0, "samples": count,
+                "stacks": [{"thread": "MainThread", "stack": "a;b",
+                            "count": count}],
+                "memory": {"peak_rss_bytes": rss,
+                           "span_peak_rss_bytes": {"fit": span_rss}},
+            }
+
+        aggregated = aggregate_profile([event(3, 10, 7), event(2, 8, 9)])
+        assert aggregated["samples"] == 5
+        assert aggregated["stacks"] == [
+            {"thread": "MainThread", "stack": "a;b", "count": 5}
+        ]
+        assert aggregated["memory"] == {
+            "peak_rss_bytes": 10, "span_peak_rss_bytes": {"fit": 9}
+        }
+
+
 class TestSampling:
     def test_busy_loop_dominates_samples(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
