@@ -16,6 +16,7 @@ import numpy as np
 
 from ..nn import Module, Tensor, concat
 from ..nn import init as nn_init
+from ..nn.attention import width_groups
 from ..nn.tensor import is_grad_enabled
 from .batching import DocumentBatch
 from .config import ResuFormerConfig
@@ -104,7 +105,8 @@ class HierarchicalEncoder(Module):
         exactly zero attention weight and pooling reads the ``[CLS]``
         slot), so results are identical to one untrimmed pass.
         """
-        for bucket, t in self._bucket_groups(token_mask, rows_per_bucket, max_buckets):
+        groups = width_groups(token_mask.sum(axis=1), rows_per_bucket, max_buckets)
+        for bucket, t in groups:
             token_states, vectors = self.sentence_encoder(
                 token_ids[bucket, :t],
                 token_mask[bucket, :t],
@@ -112,18 +114,6 @@ class HierarchicalEncoder(Module):
                 token_segments[bucket, :t],
             )
             yield bucket, token_states, vectors
-
-    @staticmethod
-    def _bucket_groups(token_mask, rows_per_bucket, max_buckets):
-        """Width-sorted row groups and their trimmed widths."""
-        widths = token_mask.sum(axis=1).astype(np.int64)
-        order = np.argsort(widths, kind="stable")
-        buckets = max(1, min(max_buckets, len(order) // rows_per_bucket))
-        return [
-            (bucket, max(int(widths[bucket].max()), 1))
-            for bucket in np.array_split(order, buckets)
-            if bucket.size > 0
-        ]
 
     def _sentence_vectors_bucketed(
         self, batch: DocumentBatch, rows_per_bucket: int = 20, max_buckets: int = 16
@@ -137,7 +127,9 @@ class HierarchicalEncoder(Module):
         index (and one scatter on the way back) instead of two.
         """
         encoder = self.sentence_encoder
-        groups = self._bucket_groups(batch.token_mask, rows_per_bucket, max_buckets)
+        groups = width_groups(
+            batch.token_mask.sum(axis=1), rows_per_bucket, max_buckets
+        )
         if not is_grad_enabled() and encoder.encoder._dropout_inactive():
             # Forward-only ragged pass: one per-token buffer for every
             # bucket, attention per bucket (results identical — see
@@ -186,7 +178,7 @@ class HierarchicalEncoder(Module):
         the float64 result matches :meth:`encode_batch` to GEMM
         round-off (a few ulp).
         """
-        groups = self._bucket_groups(batch.token_mask, 20, 16)
+        groups = width_groups(batch.token_mask.sum(axis=1), 20, 16)
         flat = self._infer_bucket_vectors(batch, groups)
         order = np.concatenate([bucket for bucket, _ in groups])
         inverse = np.empty(len(order), dtype=np.int64)

@@ -17,7 +17,9 @@ from ..corpus.datasets import NerExample
 from ..docmodel.labels import ENTITY_SCHEME, IobScheme
 from ..nn import BiLstm, Dropout, Mlp, Module, Tensor, TransformerEncoder, no_grad
 from ..nn import init as nn_init
+from ..nn.attention import width_groups
 from ..nn.functional import cross_entropy, softmax
+from ..nn.tensor import is_grad_enabled
 from ..text.wordpiece import WordPieceTokenizer
 from .encoding import NerFeatures, NerFeaturizer
 
@@ -67,7 +69,14 @@ class NerEncoder(Module):
     of :func:`repro.ner.encoding.word_shape` — explicit character-level
     cues (digit runs, ``@``, punctuation, block position) standing in for
     what web-scale pre-training gives the paper's RoBERTa for free.
+
+    Serving runs :meth:`infer_words`, which encodes a batch in ragged
+    piece-width groups instead of one block padded to its longest row.
     """
+
+    #: Ragged serving groups: at least 2 rows each, at most 16 per batch.
+    GROUP_ROWS = 2
+    MAX_GROUPS = 16
 
     def __init__(self, config: NerConfig, rng: Optional[np.random.Generator] = None):
         super().__init__()
@@ -106,6 +115,47 @@ class NerEncoder(Module):
                 Tensor(np.asarray(piece_shape, dtype=np.float64))
             )
         return self.encoder(embedded, attention_mask=piece_mask)
+
+    def piece_groups(self, piece_mask: np.ndarray) -> list:
+        """The :func:`~repro.nn.attention.width_groups` :meth:`infer_words`
+        encodes: ``[(rows, t), ...]`` over valid pieces per row."""
+        return width_groups(piece_mask.sum(axis=1), self.GROUP_ROWS, self.MAX_GROUPS)
+
+    def infer_words(self, features: NerFeatures) -> np.ndarray:
+        """Forward-only state of each word's first piece, ``(b, w, d)``.
+
+        Rows are grouped by piece width (:meth:`piece_groups`), each group
+        trimmed to its own widest row, and every group's pieces go into
+        one flat ``(Σ n·t, d)`` buffer.  The embeddings and the shape
+        projection run once over it at float64, and
+        :meth:`TransformerEncoder.infer_block` runs the stack once, with
+        only the attention core per group.  One fancy index then picks
+        each word's first piece.  Trailing padding is masked, so this
+        matches :meth:`forward` plus the gather to GEMM round-off.
+        """
+        piece_ids, piece_mask = features.piece_ids, features.piece_mask
+        groups = self.piece_groups(piece_mask)
+        row_base = np.empty(features.batch_size, dtype=np.int64)
+        blocks, masks = [], []
+        offset = 0
+        for rows, t in groups:
+            blocks.append((offset, rows.size, t))
+            masks.append(piece_mask[rows, :t])
+            row_base[rows] = offset + t * np.arange(rows.size)
+            offset += rows.size * t
+        # Flat (row, piece) coordinates of every group slot, group by group.
+        slot_rows = np.concatenate([np.repeat(rows, t) for rows, t in groups])
+        slot_cols = np.concatenate(
+            [np.tile(np.arange(t), rows.size) for rows, t in groups]
+        )
+        ids = piece_ids[slot_rows, slot_cols]
+        flat = self.embedding.infer(ids, np.zeros_like(ids), positions=slot_cols)
+        if features.piece_shape is not None:
+            flat += self.shape_project.infer(
+                features.piece_shape[slot_rows, slot_cols]
+            )
+        states = self.encoder.infer_block(flat, blocks, masks)
+        return states[row_base[:, None] + features.first_piece]
 
 
 class NerTagger(Module):
@@ -173,7 +223,13 @@ class NerTagger(Module):
 
     # ------------------------------------------------------------------
     def word_states(self, features: NerFeatures) -> Tensor:
-        """Contextual state of each word's first sub-word, ``(b, w, d)``."""
+        """Contextual state of each word's first sub-word, ``(b, w, d)``.
+
+        Under ``no_grad`` with encoder dropout inactive this is the ragged
+        :meth:`NerEncoder.infer_words`; otherwise the padded graph path.
+        """
+        if not is_grad_enabled() and self.encoder.encoder._dropout_inactive():
+            return Tensor(self.encoder.infer_words(features))
         states = self.encoder(
             features.piece_ids, features.piece_mask, features.piece_shape
         )
@@ -239,13 +295,21 @@ class NerTagger(Module):
         self.eval()
         precision = getattr(self.config, "inference_precision", "float64")
         with obs.trace("encode", batch=features.batch_size,
-                       precision=precision), no_grad():
+                       precision=precision) as span, no_grad():
             scores = self.logits(features).numpy()
+            if span is not None:
+                # Valid piece rows against the rows the ragged groups ran.
+                groups = self.encoder.piece_groups(features.piece_mask)
+                span.set_attribute("pieces", int(features.piece_mask.sum()))
+                span.set_attribute(
+                    "piece_slots", sum(rows.size * t for rows, t in groups)
+                )
         predictions: List[List[str]] = []
         with obs.trace("decode", batch=features.batch_size):
+            best = scores.argmax(axis=-1)
             for row, example in enumerate(examples):
                 n = len(example.words)
-                ids = scores[row, : min(n, features.max_words)].argmax(axis=-1)
+                ids = best[row, : min(n, features.max_words)]
                 labels = self.scheme.decode(list(ids))
                 labels += ["O"] * (n - len(labels))
                 predictions.append(labels)
@@ -257,13 +321,18 @@ class NerTagger(Module):
         """IOB label strings per example (argmax decoding), in input order.
 
         Examples are sorted by word count and run in chunks of
-        ``batch_size``, so each chunk pads only to its own longest block:
-        attention cost is quadratic in the piece axis, and a cross-document
-        call mixes one-line blocks with long work histories.  Padding is
-        masked, so an example's labels depend only on its own words, never
-        on its batch-mates.  An active :mod:`repro.obs` session records
-        ``featurize``/``encode``/``decode`` spans plus batch-size and
-        padding-waste histograms.
+        ``batch_size``.  Within a chunk the encoder runs ragged
+        (:meth:`NerEncoder.infer_words`): rows are grouped by piece width
+        and each group is trimmed to its own widest row, because attention
+        cost is quadratic in the piece axis and a cross-document call
+        mixes one-line blocks with long work histories.  The BiLSTM and
+        the head still see the chunk padded to its longest block.
+        Padding is masked, so an example's labels depend only on its own
+        words, never on its batch-mates.  An active :mod:`repro.obs`
+        session records ``featurize``/``encode``/``decode`` spans (the
+        ``encode`` span carries ``pieces``, the valid piece rows, and
+        ``piece_slots``, the rows the ragged groups computed) plus
+        batch-size and padding-waste histograms.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")

@@ -13,8 +13,9 @@ Two execution tiers share one set of parameters:
   stack always runs the allocation-lean raw-``ndarray`` kernel
   :meth:`TransformerEncoder.infer_block`: no ``Tensor`` boxing, no graph
   bookkeeping, per-row maps over one ``(rows, dim)`` buffer and the
-  attention core per padded group.  ``inference_dtype`` lets the
-  quantized int8 path run the elementwise tail in float32.  At the
+  attention core per padded group (groups cut by :func:`width_groups`).
+  ``inference_dtype`` lets the quantized int8 path run the elementwise
+  tail in float32.  At the
   default ``float64`` the attention core mirrors the compositional op
   order exactly (bit-identical); the full encoder layer matches the
   training-graph forward to one-ulp LayerNorm round-off (its serving
@@ -415,7 +416,8 @@ class TransformerEncoder(Module):
         each group ``(offset, n, t)`` in ``blocks`` spanning ``n·t`` rows;
         ``masks`` holds each group's ``(n, t)`` key mask.  Per-row maps
         run once over the buffer, attention per group — per-row output is
-        bitwise identical to running each group separately.
+        bitwise identical to running each group separately.  Callers cut
+        the groups with :func:`width_groups`.
         """
         data = flat.astype(self.inference_dtype, copy=False)
         for layer in self.layers:
@@ -430,3 +432,24 @@ class TransformerEncoder(Module):
         for layer in self.layers:
             x = layer(x, attention_mask=attention_mask)
         return x
+
+
+def width_groups(widths, min_rows: int, max_groups: int) -> list:
+    """Width-sorted row groups for :meth:`TransformerEncoder.infer_block`.
+
+    Attention cost is quadratic in the padded width, so one batch padded
+    to its widest row spends most of its work on padding.  Rows are
+    sorted by true width (``widths``: valid tokens per row) and split
+    into at most ``max_groups`` groups of at least ``min_rows`` rows
+    (fewer when the batch is smaller).  Returns ``[(rows, t), ...]``:
+    the original row indices of each group and the group's own widest
+    row, so each group can be trimmed to ``[:, :t]``.
+    """
+    widths = np.asarray(widths).astype(np.int64)
+    order = np.argsort(widths, kind="stable")
+    count = max(1, min(max_groups, len(order) // min_rows))
+    return [
+        (rows, max(int(widths[rows].max()), 1))
+        for rows in np.array_split(order, count)
+        if rows.size > 0
+    ]

@@ -212,13 +212,14 @@ class TestNerPredictBatch:
 
 
 class TestNerPredictOrder:
-    def test_input_order_survives_length_sort(self, tokenizer):
+    @pytest.mark.parametrize("precision", ["float64", "int8"])
+    def test_input_order_survives_length_sort(self, tokenizer, precision):
         from repro.corpus.datasets import NerExample
         from repro.ner import NerConfig, NerTagger
 
         config = NerConfig(
             vocab_size=len(tokenizer.vocab), hidden_dim=16, layers=1, heads=2,
-            lstm_hidden=8, dropout=0.0,
+            lstm_hidden=8, dropout=0.0, inference_precision=precision,
         )
         tagger = NerTagger(config, tokenizer, rng=np.random.default_rng(4))
         vocabulary = ["john", "doe", "python", "java", "paris", "engineer",
@@ -229,7 +230,14 @@ class TestNerPredictOrder:
             NerExample(list(rng.choice(vocabulary, size=n)), ["O"] * n, "WorkExp")
             for n in lengths
         ]
+        if precision == "int8":
+            # Calibrate once, before any predict: the activation scales
+            # are then fixed and labels cannot depend on the first call.
+            tagger.quantize_for_inference(examples[:8])
         alone = [tagger.predict([e])[0] for e in examples]
+        # Ragged width groups split each chunk differently from the
+        # single-example calls, at both precisions.
+        assert tagger.predict(examples) == alone
         # Chunks of 5 over the length-sorted order cut every block run apart.
         got = tagger.predict(examples, batch_size=5)
         assert [len(labels) for labels in got] == list(lengths)

@@ -249,3 +249,68 @@ class TestLossBatch:
         assert float(tagger.loss_batch(features).data) != pytest.approx(
             float(tagger.loss(features).data), abs=1e-12
         )
+
+
+def _mixed_examples(lengths, seed=0):
+    """Blocks of the given word counts drawn from a small vocabulary."""
+    vocabulary = ["james", "smith", "python", "2019.07", "acme", "inc",
+                  "northfield", "university", "a@b.com", "engineer"]
+    rng = np.random.default_rng(seed)
+    return [
+        NerExample(list(rng.choice(vocabulary, size=n)), ["O"] * n, "WorkExp")
+        for n in lengths
+    ]
+
+
+class TestRaggedServing:
+    """``no_grad`` logits run the ragged encoder; grads-on the padded graph."""
+
+    def test_serving_matches_padded_graph(self, tokenizer):
+        config = NerConfig(
+            vocab_size=len(tokenizer.vocab), hidden_dim=32, layers=2, heads=2,
+            lstm_hidden=16, dropout=0.0, max_pieces=64, max_words=96,
+        )
+        tagger = NerTagger(config, tokenizer, rng=np.random.default_rng(2))
+        examples = _mixed_examples([1, 2, 3, 5, 8, 13, 21, 34, 90, 4, 1])
+        features = tagger.featurizer.featurize(examples)
+        # The longest block is cut by the piece budget, not by max_words.
+        assert features.piece_mask.sum(axis=1).max() == config.max_pieces
+        assert features.word_mask[8].sum() < 90
+        graph = tagger.logits(features)
+        assert graph.requires_grad  # the padded graph path
+        with no_grad():
+            served = tagger.logits(features).numpy()
+        assert graph.data.dtype == served.dtype == np.float64
+        mask = features.word_mask.astype(bool)
+        assert np.abs(graph.data - served).max() <= 1e-12
+        np.testing.assert_array_equal(
+            graph.data.argmax(axis=-1)[mask], served.argmax(axis=-1)[mask]
+        )
+
+    def test_encode_span_counts_ragged_piece_slots(self, tagger):
+        from repro import obs
+
+        examples = _mixed_examples([1, 90, 1, 90, 1, 1], seed=1)
+        features = tagger.featurizer.featurize(examples)
+        session = obs.Telemetry()
+        with obs.use_telemetry(session):
+            tagger.predict(examples)
+        (encode,) = [s for s in session.tracer.finished() if s.name == "encode"]
+        pieces = encode.attributes["pieces"]
+        slots = encode.attributes["piece_slots"]
+        assert pieces == int(features.piece_mask.sum())
+        assert pieces <= slots < features.piece_mask.size
+
+    def test_no_session_records_nothing(self, tagger, monkeypatch):
+        from repro.ner.model import NerEncoder
+
+        calls = []
+        original = NerEncoder.piece_groups
+
+        def spy(self, piece_mask):
+            calls.append(piece_mask.shape)
+            return original(self, piece_mask)
+
+        monkeypatch.setattr(NerEncoder, "piece_groups", spy)
+        tagger.predict(_mixed_examples([1, 90, 1, 5]))
+        assert len(calls) == 1  # the encoder's own grouping, nothing more
