@@ -8,7 +8,8 @@ seeded random projection so every output element constrains the check.
 
 :func:`run_sweep` auto-discovers every differentiable op exported by
 ``nn/tensor.py``, ``nn/functional.py``, ``nn/layers.py``,
-``nn/attention.py``, ``nn/recurrent.py`` and ``nn/crf.py`` and checks
+``nn/attention.py``, ``nn/recurrent.py``, ``nn/crf.py`` and the
+one-node embeddings of ``core/embeddings.py`` and checks
 each against the registered spec — broadcasting, zero-size and length-masked shapes
 included.  An exported op *without* a spec fails the sweep, so new ops
 cannot silently skip gradient verification.
@@ -58,6 +59,7 @@ SWEPT_MODULES = (
     "repro.nn.recurrent",
     "repro.nn.crf",
     "repro.nn.quantize",
+    "repro.core.embeddings",
 )
 
 
@@ -510,23 +512,15 @@ def _register_attention() -> None:
         fused_self_attention,
     )
 
-    def _fused_attention_case(seed: int, mask) -> dict:
+    def _fused_attention_case(seed: int, mask, shape=(2, 3, 4), **ragged) -> dict:
         layer = MultiHeadSelfAttention(4, 2, dropout=0.0, rng=_rng(seed))
+        q, k, v, o = layer.query, layer.key, layer.value, layer.out
         return {
             "fn": lambda x: fused_self_attention(
-                x,
-                layer.query.weight,
-                layer.query.bias,
-                layer.key.weight,
-                layer.key.bias,
-                layer.value.weight,
-                layer.value.bias,
-                layer.out.weight,
-                layer.out.bias,
-                layer.num_heads,
-                attention_mask=mask,
+                x, q.weight, q.bias, k.weight, k.bias, v.weight, v.bias,
+                o.weight, o.bias, layer.num_heads, attention_mask=mask, **ragged,
             ),
-            "inputs": [_tensor(_rng(seed + 1), 2, 3, 4)],
+            "inputs": [_tensor(_rng(seed + 1), *shape)],
             "params": _params(layer),
         }
 
@@ -537,6 +531,23 @@ def _register_attention() -> None:
     @spec("fused_self_attention", "length-masked keys")
     def _():
         return _fused_attention_case(49, np.array([[1, 1, 1], [1, 1, 0]]))
+
+    @spec("fused_self_attention", "ragged blocks t=2,3, padded keys, dropout")
+    def _():
+        # Flat (2*2 + 1*3, 4) buffer of two width groups; one fixed
+        # keep-mask per group shape, so every evaluation drops alike.
+        keep = {
+            shape: (_rng(92).random(shape) < 0.7) / 0.7
+            for shape in ((2, 2, 2, 2), (1, 2, 3, 3))
+        }
+        return _fused_attention_case(
+            90,
+            None,
+            shape=(7, 4),
+            blocks=[(0, 2, 2), (4, 1, 3)],
+            masks=[np.array([[1, 1], [1, 0]]), np.array([[1, 1, 0]])],
+            dropout=lambda shape: keep[tuple(shape)],
+        )
 
     @spec("MultiHeadSelfAttention", "full attention (2,3,4)")
     def _():
@@ -577,6 +588,37 @@ def _register_attention() -> None:
             "inputs": [_tensor(_rng(59), 1, 3, 4)],
             "params": _params(encoder),
         }
+
+
+# -- embeddings --------------------------------------------------------
+def _register_embeddings() -> None:
+    from ..core.embeddings import LayoutEmbedding, TextEmbedding
+
+    @spec("TextEmbedding", "repeated ids, implied positions (2,3)")
+    def _():
+        layer = TextEmbedding(5, 4, max_positions=3, rng=_rng(94))
+        ids = np.array([[1, 2, 2], [0, 4, 1]])
+        segments = np.array([[0, 0, 1], [1, 1, 0]])
+        return {"fn": lambda: layer(ids, segments), "inputs": [], "params": _params(layer)}
+
+    @spec("TextEmbedding", "flat ragged buffer, explicit positions (5,)")
+    def _():
+        layer = TextEmbedding(5, 4, max_positions=3, rng=_rng(95))
+        with no_grad():
+            layer.norm.gamma.data[:] = _rng(96).standard_normal(4)
+        ids, positions = np.array([3, 1, 3, 2, 4]), np.array([0, 1, 0, 1, 2])
+        return {
+            "fn": lambda: layer(ids, np.zeros(5, dtype=np.int64), positions=positions),
+            "inputs": [],
+            "params": _params(layer),
+        }
+
+    @spec("LayoutEmbedding", "repeated buckets across axes (2,3,7)")
+    def _():
+        layer = LayoutEmbedding(4, 5, rng=_rng(97), axis_dim=3, page_dim=2)
+        layout = _rng(98).integers(0, 5, size=(2, 3, 7))
+        layout[..., 4] = layout[..., 0]  # one bucket feeds two x features
+        return {"fn": lambda: layer(layout), "inputs": [], "params": _params(layer)}
 
 
 # -- recurrent ---------------------------------------------------------
@@ -692,6 +734,7 @@ def _register_all_specs() -> None:
     _register_functional()
     _register_layers()
     _register_attention()
+    _register_embeddings()
     _register_recurrent()
     _register_crf()
 

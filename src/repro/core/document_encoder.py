@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..nn import Embedding, LayerNorm, Linear, Module, Parameter, Tensor
-from ..nn import TransformerEncoder, concat
+from ..nn import TransformerEncoder, concat, where
 from ..nn import init as nn_init
 from .config import ResuFormerConfig
 from .embeddings import LayoutEmbedding
@@ -56,59 +56,6 @@ class DocumentEncoder(Module):
         """Two-modal sentence embeddings ``h* = [h ; proj(v)]``."""
         projected = self.visual_project(Tensor(np.asarray(visual, dtype=np.float64)))
         return concat([sentence_vectors, projected], axis=-1)
-
-    def contextualize(
-        self,
-        fused: Tensor,
-        sentence_layout: np.ndarray,
-        positions: np.ndarray,
-        segments: np.ndarray,
-    ) -> Tensor:
-        """Add layout/position/segment embeddings and run the Transformer."""
-        m = fused.shape[0]
-        if m > self.config.max_document_sentences:
-            raise ValueError(
-                f"{m} sentences exceed limit {self.config.max_document_sentences}"
-            )
-        embedded = (
-            fused
-            + self.layout_embedding(sentence_layout)
-            + self.position(np.asarray(positions, dtype=np.int64))
-            + self.segment(np.asarray(segments, dtype=np.int64))
-        )
-        embedded = self.norm(embedded)
-        # The document encoder sees one document: batch dimension of 1.
-        batched = embedded.reshape(1, m, self.config.document_dim)
-        states = self.encoder(batched, attention_mask=np.ones((1, m)))
-        return states.reshape(m, self.config.document_dim)
-
-    def contextualize_batch(
-        self,
-        fused: Tensor,
-        sentence_layout: np.ndarray,
-        positions: np.ndarray,
-        segments: np.ndarray,
-        sentence_mask: np.ndarray,
-    ) -> Tensor:
-        """Batched variant of :meth:`contextualize` over ``(B, m, D)``.
-
-        ``sentence_mask`` (``(B, m)`` 0/1) marks valid sentence slots;
-        padded slots are excluded from attention so each document's states
-        match a solo pass at its true length.
-        """
-        batch, m, _ = fused.shape
-        if m > self.config.max_document_sentences:
-            raise ValueError(
-                f"{m} sentences exceed limit {self.config.max_document_sentences}"
-            )
-        embedded = (
-            fused
-            + self.layout_embedding(sentence_layout)
-            + self.position(np.asarray(positions, dtype=np.int64))
-            + self.segment(np.asarray(segments, dtype=np.int64))
-        )
-        embedded = self.norm(embedded)
-        return self.encoder(embedded, attention_mask=sentence_mask)
 
     def infer_batch(
         self,
@@ -155,29 +102,39 @@ class DocumentEncoder(Module):
         sentence_mask: np.ndarray,
         mask_slots: Optional[np.ndarray] = None,
     ) -> Tuple[Tensor, Tensor]:
-        """Batched full pass over padded ``(B, m, …)`` inputs.
+        """Full pass over padded ``(B, m, …)`` inputs.
 
-        ``mask_slots``, if given, is a boolean ``(B, m)`` array; True slots
-        enter the Transformer as the learned mask vector (the batched form
-        of dynamic sentence masking) while the returned ``fused`` targets
-        stay unmasked, exactly as in the per-document :meth:`forward`.
+        ``sentence_mask`` (``(B, m)`` 0/1) marks valid sentence slots;
+        padded slots are excluded from attention so each document's states
+        match a solo pass at its true length.  ``mask_slots``, if given, is
+        a boolean ``(B, m)`` array; True slots enter the Transformer as the
+        learned mask vector (dynamic sentence masking of Objective #2)
+        while the returned ``fused`` embeddings stay unmasked, the
+        contrastive ground truth.
+
+        Returns ``(contextual_states, fused_targets)``, both ``(B, m, D)``.
         """
+        batch, m, _ = sentence_vectors.shape
+        if m > self.config.max_document_sentences:
+            raise ValueError(
+                f"{m} sentences exceed limit {self.config.max_document_sentences}"
+            )
         fused = self.fuse(sentence_vectors, visual)
         inputs = fused
         if mask_slots is not None:
-            from ..nn import where
-
-            mask_slots = np.asarray(mask_slots, dtype=bool)
-            batch, m = mask_slots.shape
             dim = self.config.document_dim
-            broadcast = np.repeat(mask_slots[:, :, None], dim, axis=2)
+            broadcast = np.repeat(np.asarray(mask_slots, dtype=bool)[:, :, None], dim, axis=2)
             mask_matrix = self.sentence_mask_vector.reshape(1, 1, dim) + Tensor(
                 np.zeros((batch, m, dim))
             )
             inputs = where(broadcast, mask_matrix, fused)
-        states = self.contextualize_batch(
-            inputs, sentence_layout, positions, segments, sentence_mask
+        embedded = (
+            inputs
+            + self.layout_embedding(sentence_layout)
+            + self.position(np.asarray(positions, dtype=np.int64))
+            + self.segment(np.asarray(segments, dtype=np.int64))
         )
+        states = self.encoder(self.norm(embedded), attention_mask=sentence_mask)
         return states, fused
 
     def forward(
@@ -189,28 +146,16 @@ class DocumentEncoder(Module):
         segments: np.ndarray,
         mask_slots: Optional[np.ndarray] = None,
     ) -> Tuple[Tensor, Tensor]:
-        """Full pass; optionally mask sentence slots for pre-training.
-
-        Args:
-            mask_slots: optional boolean ``(m,)`` array; True slots have
-                their fused embedding replaced with the learned mask vector
-                (dynamic sentence masking of Objective #2).
-
-        Returns:
-            ``(contextual_states, fused_targets)`` — both ``(m, D)``; the
-            fused (unmasked) embeddings serve as contrastive ground truth.
-        """
-        fused = self.fuse(sentence_vectors, visual)
-        inputs = fused
-        if mask_slots is not None:
-            mask_slots = np.asarray(mask_slots, dtype=bool)
-            m = fused.shape[0]
-            broadcast = np.repeat(mask_slots[:, None], self.config.document_dim, axis=1)
-            from ..nn import where
-
-            mask_matrix = self.sentence_mask_vector.reshape(
-                1, self.config.document_dim
-            ) + Tensor(np.zeros((m, self.config.document_dim)))
-            inputs = where(broadcast, mask_matrix, fused)
-        states = self.contextualize(inputs, sentence_layout, positions, segments)
-        return states, fused
+        """One document, ``(m, …)`` inputs: a batch of one of
+        :meth:`forward_batch`; returns ``(m, D)`` states and targets."""
+        m, dim = sentence_vectors.shape[0], self.config.document_dim
+        states, fused = self.forward_batch(
+            sentence_vectors.reshape(1, m, -1),
+            np.asarray(visual)[None],
+            np.asarray(sentence_layout)[None],
+            np.asarray(positions)[None],
+            np.asarray(segments)[None],
+            np.ones((1, m)),
+            mask_slots=None if mask_slots is None else np.asarray(mask_slots)[None],
+        )
+        return states.reshape(m, dim), fused.reshape(m, dim)

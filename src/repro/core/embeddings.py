@@ -13,8 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import Embedding, LayerNorm, Linear, Module, Tensor, concat
+from ..nn import Embedding, LayerNorm, Linear, Module, Tensor
 from ..nn import init as nn_init
+from ..nn.tensor import _scatter_rows, is_grad_enabled
 
 __all__ = ["TextEmbedding", "LayoutEmbedding"]
 
@@ -40,21 +41,30 @@ class TextEmbedding(Module):
         self.norm = LayerNorm(dim)
         self.max_positions = max_positions
 
-    def forward(self, token_ids: np.ndarray, segments: np.ndarray) -> Tensor:
-        """``token_ids``/``segments``: integer arrays ``(..., seq)``."""
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        seq = token_ids.shape[-1]
-        if seq > self.max_positions:
-            raise ValueError(
-                f"sequence length {seq} exceeds max positions {self.max_positions}"
-            )
-        positions = np.broadcast_to(np.arange(seq), token_ids.shape)
-        summed = (
-            self.word(token_ids)
-            + self.position(positions)
-            + self.segment(np.asarray(segments, dtype=np.int64))
-        )
-        return self.norm(summed)
+    def forward(
+        self,
+        token_ids: np.ndarray,
+        segments: np.ndarray,
+        positions: Optional[np.ndarray] = None,
+    ) -> Tensor:
+        """``token_ids``/``segments``: integer arrays ``(..., seq)``.
+
+        With grads on this is one autograd node: :meth:`infer`'s gathers
+        and sum, the graph-path layer norm, and one row scatter per table
+        on the way back.
+        """
+        if not is_grad_enabled():
+            return Tensor(self.infer(token_ids, segments, positions=positions))
+        summed, uses = self._gather(token_ids, segments, positions)
+        out, pullback = self.norm.vjp(summed)
+
+        def backward(grad: np.ndarray) -> None:
+            g_summed = pullback(grad)
+            for table, ids in uses:
+                table._accumulate(_scatter_rows(ids, g_summed, table.data.shape))
+
+        parents = tuple(table for table, _ in uses) + (self.norm.gamma, self.norm.beta)
+        return self.norm.gamma._make(out, parents, backward)
 
     def infer(
         self,
@@ -63,7 +73,7 @@ class TextEmbedding(Module):
         dtype=None,
         positions: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Raw-array forward (same op order as :meth:`forward`).
+        """Raw-array forward (the op order :meth:`forward` repeats).
 
         ``dtype`` routes the gathers through cast embedding tables so a
         single-precision inference pipeline starts narrow instead of
@@ -71,6 +81,11 @@ class TextEmbedding(Module):
         0..seq-1 position ids — callers that flatten several padded
         groups into one row block pass the per-group positions here.
         """
+        return self.norm.infer(self._gather(token_ids, segments, positions, dtype)[0])
+
+    def _gather(self, token_ids, segments, positions, dtype=None) -> tuple:
+        """The summed word, position and segment rows, plus each table
+        with the ids it gathered."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if positions is None:
             seq = token_ids.shape[-1]
@@ -80,10 +95,15 @@ class TextEmbedding(Module):
                     f"{self.max_positions}"
                 )
             positions = np.broadcast_to(np.arange(seq), token_ids.shape)
+        uses = [
+            (self.word, token_ids),
+            (self.position, np.asarray(positions, dtype=np.int64)),
+            (self.segment, np.asarray(segments, dtype=np.int64)),
+        ]
         summed = self.word.lookup(token_ids, dtype=dtype)
-        summed += self.position.lookup(positions, dtype=dtype)
-        summed += self.segment.lookup(np.asarray(segments, dtype=np.int64), dtype=dtype)
-        return self.norm.infer(summed)
+        for table, ids in uses[1:]:
+            summed += table.lookup(ids, dtype=dtype)
+        return summed, [(table.weight, ids) for table, ids in uses]
 
 
 class LayoutEmbedding(Module):
@@ -113,31 +133,48 @@ class LayoutEmbedding(Module):
         self.project = Linear(page_dim + 2 * axis_dim, dim, rng=rng)
 
     def forward(self, layout: np.ndarray) -> Tensor:
-        """``layout``: integer array ``(..., 7)``."""
-        layout = np.asarray(layout, dtype=np.int64)
-        x_part = (
-            self.x_table(layout[..., 0])
-            + self.x_table(layout[..., 2])
-            + self.x_table(layout[..., 4])
+        """``layout``: integer array ``(..., 7)``.
+
+        With grads on this is one autograd node: :meth:`infer`'s seven
+        gathers, per-axis sums and concatenation, the graph-path
+        projection, and one row scatter per table use on the way back.
+        """
+        if not is_grad_enabled():
+            return Tensor(self.infer(layout))
+        combined, uses = self._gather(layout)
+        out, pullback = self.project.vjp(combined)
+        widths = np.cumsum([self.page_table.embedding_dim, self.x_table.embedding_dim])
+
+        def backward(grad: np.ndarray) -> None:
+            g_parts = np.split(pullback(grad), widths, axis=-1)
+            for (table, ids), g_part in zip(uses, g_parts):
+                for index in ids:
+                    table._accumulate(_scatter_rows(index, g_part, table.data.shape))
+
+        parents = tuple(table for table, _ in uses) + (
+            self.project.weight,
+            self.project.bias,
         )
-        y_part = (
-            self.y_table(layout[..., 1])
-            + self.y_table(layout[..., 3])
-            + self.y_table(layout[..., 5])
-        )
-        page_part = self.page_table(layout[..., 6])
-        combined = concat([page_part, x_part, y_part], axis=-1)
-        return self.project(combined)
+        return self.project.weight._make(out, parents, backward)
 
     def infer(self, layout: np.ndarray, dtype=None) -> np.ndarray:
-        """Raw-array forward (same op order as :meth:`forward`)."""
+        """Raw-array forward (the op order :meth:`forward` repeats)."""
+        return self.project.infer(self._gather(layout, dtype)[0])
+
+    def _gather(self, layout: np.ndarray, dtype=None) -> tuple:
+        """``[page; x; y]`` before the projection, plus each table with
+        the ids of each of its gathers."""
         layout = np.asarray(layout, dtype=np.int64)
-        x_part = self.x_table.lookup(layout[..., 0], dtype=dtype)
-        x_part += self.x_table.lookup(layout[..., 2], dtype=dtype)
-        x_part += self.x_table.lookup(layout[..., 4], dtype=dtype)
-        y_part = self.y_table.lookup(layout[..., 1], dtype=dtype)
-        y_part += self.y_table.lookup(layout[..., 3], dtype=dtype)
-        y_part += self.y_table.lookup(layout[..., 5], dtype=dtype)
-        page_part = self.page_table.lookup(layout[..., 6], dtype=dtype)
-        combined = np.concatenate([page_part, x_part, y_part], axis=-1)
-        return self.project.infer(combined)
+        parts, uses = [], []
+        for table, columns in (
+            (self.page_table, (6,)),
+            (self.x_table, (0, 2, 4)),
+            (self.y_table, (1, 3, 5)),
+        ):
+            ids = [layout[..., column] for column in columns]
+            part = table.lookup(ids[0], dtype=dtype)
+            for more in ids[1:]:
+                part += table.lookup(more, dtype=dtype)
+            parts.append(part)
+            uses.append((table.weight, ids))
+        return np.concatenate(parts, axis=-1), uses

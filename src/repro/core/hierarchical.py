@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import Module, Tensor, concat
+from ..nn import Module, Tensor
 from ..nn import init as nn_init
-from ..nn.attention import width_groups
+from ..nn.attention import RaggedLayout, ragged_layout, width_groups
 from ..nn.tensor import is_grad_enabled
 from .batching import DocumentBatch
 from .config import ResuFormerConfig
@@ -84,84 +84,15 @@ class HierarchicalEncoder(Module):
             contextual=contextual,
         )
 
-    def iter_sentence_buckets(
-        self,
-        token_ids: np.ndarray,
-        token_mask: np.ndarray,
-        token_layout: np.ndarray,
-        token_segments: np.ndarray,
-        rows_per_bucket: int = 20,
-        max_buckets: int = 16,
-    ):
-        """Run the sentence encoder over a flat sentence block in buckets.
+    def sentence_layout(self, token_mask: np.ndarray) -> RaggedLayout:
+        """The flat-buffer layout of a sentence block's width groups.
 
-        Attention cost is quadratic in the padded token width, so encoding
-        every sentence at the block-global maximum wastes most of the work
-        on padding.  Rows are sorted by true token count and encoded in up
-        to ``max_buckets`` groups trimmed to each group's own maximum width.
-        Yields ``(rows, token_states, sentence_vectors)`` per bucket, where
-        ``rows`` indexes the original block and the states are trimmed to
-        the bucket width.  Trailing padding is inert (masked keys get
-        exactly zero attention weight and pooling reads the ``[CLS]``
-        slot), so results are identical to one untrimmed pass.
+        Attention cost is quadratic in the padded token width, so rows are
+        sorted by true token count and split into up to 16 groups of at
+        least 20 rows, each trimmed to its own widest row.  Training and
+        serving encode the same layout.
         """
-        groups = width_groups(token_mask.sum(axis=1), rows_per_bucket, max_buckets)
-        for bucket, t in groups:
-            token_states, vectors = self.sentence_encoder(
-                token_ids[bucket, :t],
-                token_mask[bucket, :t],
-                token_layout[bucket, :t],
-                token_segments[bucket, :t],
-            )
-            yield bucket, token_states, vectors
-
-    def _sentence_vectors_bucketed(
-        self, batch: DocumentBatch, rows_per_bucket: int = 20, max_buckets: int = 16
-    ) -> tuple:
-        """Sentence vectors for the flat cross-document block.
-
-        Returns ``(flat, inverse)`` where ``flat`` is the ``(n, d)`` tensor
-        in *bucket* order and ``inverse[row]`` locates original block row
-        ``row`` inside it.  Callers compose ``inverse`` into their own
-        gather instead of materialising the reordered tensor — one fancy
-        index (and one scatter on the way back) instead of two.
-        """
-        encoder = self.sentence_encoder
-        groups = width_groups(
-            batch.token_mask.sum(axis=1), rows_per_bucket, max_buckets
-        )
-        if not is_grad_enabled() and encoder.encoder._dropout_inactive():
-            # Forward-only ragged pass: one per-token buffer for every
-            # bucket, attention per bucket (results identical — see
-            # SentenceEncoder.infer_buckets).
-            flat = Tensor(self._infer_bucket_vectors(batch, groups))
-        else:
-            pieces = []
-            for bucket, t in groups:
-                _, vectors = encoder(
-                    batch.token_ids[bucket, :t],
-                    batch.token_mask[bucket, :t],
-                    batch.token_layout[bucket, :t],
-                    batch.token_segments[bucket, :t],
-                )
-                pieces.append(vectors)
-            flat = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
-        order = np.concatenate([bucket for bucket, _ in groups])
-        inverse = np.empty(len(order), dtype=np.int64)
-        inverse[order] = np.arange(len(order))
-        return flat, inverse
-
-    def _infer_bucket_vectors(self, batch: DocumentBatch, groups) -> np.ndarray:
-        """Raw ragged sentence-vector pass over precomputed width groups."""
-        return self.sentence_encoder.infer_buckets(
-            (
-                batch.token_ids[bucket, :t],
-                batch.token_mask[bucket, :t],
-                batch.token_layout[bucket, :t],
-                batch.token_segments[bucket, :t],
-            )
-            for bucket, t in groups
-        )
+        return ragged_layout(width_groups(token_mask.sum(axis=1), 20, 16), token_mask)
 
     def _inference_ready(self) -> bool:
         """Whether both stacks can run the raw forward-only kernels."""
@@ -178,12 +109,11 @@ class HierarchicalEncoder(Module):
         the float64 result matches :meth:`encode_batch` to GEMM
         round-off (a few ulp).
         """
-        groups = width_groups(batch.token_mask.sum(axis=1), 20, 16)
-        flat = self._infer_bucket_vectors(batch, groups)
-        order = np.concatenate([bucket for bucket, _ in groups])
-        inverse = np.empty(len(order), dtype=np.int64)
-        inverse[order] = np.arange(len(order))
-        padded = flat[inverse[batch.gather_index]]
+        vectors = self.sentence_encoder.infer_ragged(
+            batch.token_ids, batch.token_layout, batch.token_segments,
+            self.sentence_layout(batch.token_mask),
+        )
+        padded = vectors[batch.gather_index]
         padded *= batch.sentence_mask[:, :, None].astype(padded.dtype)
         return self.document_encoder.infer_batch(
             padded,
@@ -198,9 +128,9 @@ class HierarchicalEncoder(Module):
         """Contextual sentence states ``(B, m_max, D)`` for a padded batch.
 
         The sentence encoder runs over the flat cross-document sentence
-        block in length buckets; the gather back to ``(B, m_max, d)`` is a
-        fancy-index on the autograd tensor, so the path is differentiable
-        end to end.
+        block as one ragged pass (:meth:`sentence_layout`); the gather back
+        to ``(B, m_max, d)`` is a fancy-index on the autograd tensor, so
+        the path is differentiable end to end.
         """
         return self._encode_batch(batch).contextual
 
@@ -220,8 +150,14 @@ class HierarchicalEncoder(Module):
     def _encode_batch(
         self, batch: DocumentBatch, mask_slots: Optional[np.ndarray] = None
     ) -> EncodedBatch:
-        flat, inverse = self._sentence_vectors_bucketed(batch)
-        padded = flat[inverse[batch.gather_index]]
+        encoder = self.sentence_encoder
+        layout = self.sentence_layout(batch.token_mask)
+        inputs = (batch.token_ids, batch.token_layout, batch.token_segments, layout)
+        if not is_grad_enabled() and encoder.encoder._dropout_inactive():
+            vectors = Tensor(encoder.infer_ragged(*inputs))
+        else:
+            _, vectors = encoder.forward_ragged(*inputs)
+        padded = vectors[batch.gather_index]
         padded = padded * Tensor(batch.sentence_mask[:, :, None])
         contextual, fused = self.document_encoder.forward_batch(
             padded,

@@ -14,8 +14,8 @@ Implements the three objectives and their combination (Eq. 7):
 
 All three run *batched*: the documents of a step are collated into one
 padded :class:`~repro.core.batching.DocumentBatch`, MLLM corrupts the flat
-cross-document sentence block in one shot and encodes it in length
-buckets, and SCL/DNSP share a single batched document-encoder pass with
+cross-document sentence block in one shot and encodes it in one ragged
+pass, and SCL/DNSP share a single batched document-encoder pass with
 per-document slot masks.  The per-document methods (:meth:`Pretrainer.
 mllm_loss`, :meth:`Pretrainer.scl_pairs`, :meth:`Pretrainer.dnsp_loss`)
 remain as the reference implementations the parity tests compare against.
@@ -348,12 +348,19 @@ class Pretrainer:
         """Batched ``L_wp`` over the collated flat sentence block.
 
         ``masked_copy`` corrupts every sentence of every document in one
-        vectorised draw, the sentence encoder runs in length buckets, and
-        per-position weights reproduce the per-document mean exactly: each
-        masked position of document ``d`` carries ``1 / (count_d * D)``
-        where ``D`` counts documents with at least one masked token — so
-        the result equals the mean of per-document :meth:`mllm_loss` terms
-        for the same corruption.
+        vectorised draw, and the sentence encoder runs one ragged pass
+        over the corrupted block (:meth:`HierarchicalEncoder.
+        sentence_layout`).  Only the token states of the selected
+        positions are gathered and projected to the vocabulary, so
+        ``heads.mlm`` and the log-softmax see ``selected.sum()`` rows, not
+        every padded token slot.  Per-position weights reproduce the
+        per-document mean exactly: each masked position of document ``d``
+        carries ``1 / (count_d * D)`` where ``D`` counts documents with at
+        least one masked token — so the result equals the mean of
+        per-document :meth:`mllm_loss` terms for the same corruption.
+        Under an active :mod:`repro.obs` session the ``pretrain.mllm``
+        span carries ``mlm_rows`` (rows projected) and ``token_slots``
+        (rows the ragged pass encoded).
         """
         vocab = self.featurizer.tokenizer.vocab
         if corruption is None:
@@ -370,32 +377,27 @@ class Pretrainer:
         if not selected.any():
             return None
 
-        weights = np.zeros(selected.shape, dtype=np.float64)
-        doc_rows = []
-        offset = 0
-        for features in batch.features:
-            rows = slice(offset, offset + features.num_sentences)
-            doc_rows.append((rows, float(selected[rows].sum())))
-            offset += features.num_sentences
-        contributing = sum(1 for _, count in doc_rows if count)
-        for rows, count in doc_rows:
-            if count:
-                weights[rows] = selected[rows] / (count * contributing)
+        # Each flat sentence row's document, and each document's count.
+        doc = np.repeat(np.arange(batch.batch_size), batch.lengths)
+        counts = np.bincount(doc, weights=selected.sum(axis=1), minlength=batch.batch_size)
+        scale = (counts * np.count_nonzero(counts))[doc]
+        weights = np.divide(selected, scale[:, None], out=np.zeros(selected.shape),
+                            where=scale[:, None] > 0)
 
-        total: Optional[Tensor] = None
-        for rows, token_states, _ in self.encoder.iter_sentence_buckets(
-            corrupted, batch.token_mask, batch.token_layout, batch.token_segments
-        ):
-            bucket_weights = weights[rows][:, : token_states.shape[1]]
-            if not bucket_weights.any():
-                continue
-            logp = log_softmax(self.heads.mlm(token_states), axis=-1)
-            flat = logp.reshape(-1, logp.shape[-1])
-            targets = batch.token_ids[rows][:, : token_states.shape[1]].reshape(-1)
-            picked = flat[np.arange(flat.shape[0]), targets]
-            term = -(picked * Tensor(bucket_weights.reshape(-1))).sum()
-            total = term if total is None else total + term
-        return total
+        with obs.trace("pretrain.mllm") as span:
+            layout = self.encoder.sentence_layout(batch.token_mask)
+            states, _ = self.encoder.sentence_encoder.forward_ragged(
+                corrupted, batch.token_layout, batch.token_segments, layout
+            )
+            # Buffer rows of the masked positions (padding is never selected).
+            picked = np.flatnonzero(selected[layout.rows, layout.cols])
+            rows, cols = layout.rows[picked], layout.cols[picked]
+            logp = log_softmax(self.heads.mlm(states[picked]), axis=-1)
+            targets = logp[np.arange(picked.size), batch.token_ids[rows, cols]]
+            if span is not None:
+                span.set_attribute("mlm_rows", int(picked.size))
+                span.set_attribute("token_slots", int(layout.rows.size))
+            return -(targets * Tensor(weights[rows, cols])).sum()
 
     def dnsp_loss_batch(
         self,

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..nn import Linear, Module, Tensor, TransformerEncoder
 from ..nn import init as nn_init
+from ..nn.attention import RaggedLayout, ragged_layout
 from ..nn.functional import l2_normalize
 from .config import ResuFormerConfig
 from .embeddings import LayoutEmbedding, TextEmbedding
@@ -58,7 +59,7 @@ class SentenceEncoder(Module):
         token_layout: np.ndarray,
         token_segments: np.ndarray,
     ) -> Tuple[Tensor, Tensor]:
-        """Encode a batch of sentences.
+        """Encode a batch of sentences: one group of :meth:`forward_ragged`.
 
         Args:
             token_ids: ``(m, t)`` WordPiece ids with ``[CLS]`` first.
@@ -71,58 +72,56 @@ class SentenceEncoder(Module):
             representations ``(m, t, d)`` and the pooled, L2-normalised
             sentence vectors ``(m, d)``.
         """
-        embedded = self.text_embedding(token_ids, token_segments)
-        embedded = embedded + self.layout_embedding(token_layout)
-        states = self.encoder(embedded, attention_mask=token_mask)
-        cls = states[:, 0, :]
-        pooled = self.pooler(cls).tanh()
+        m, t = np.shape(token_mask)
+        layout = ragged_layout([(np.arange(m), t)], np.asarray(token_mask))
+        states, vectors = self.forward_ragged(
+            token_ids, token_layout, token_segments, layout
+        )
+        return states.reshape(m, t, states.shape[-1]), vectors
+
+    def forward_ragged(
+        self,
+        token_ids: np.ndarray,
+        token_layout: np.ndarray,
+        token_segments: np.ndarray,
+        layout: RaggedLayout,
+    ) -> Tuple[Tensor, Tensor]:
+        """Encode a sentence block as one flat buffer of width groups.
+
+        ``layout`` (:func:`~repro.nn.attention.ragged_layout`) places each
+        sentence's slots in the buffer.  The embeddings, every per-row
+        map and the pooler run once over it; only the attention core runs
+        per group.  Returns the ``(Σ n·t, d)`` token states in buffer
+        order and the ``(m, d)`` L2-normalised sentence vectors in row
+        order.  Trailing padding is inert (masked keys get exactly zero
+        attention weight and pooling reads the ``[CLS]`` slot).
+        """
+        rows, cols = layout.rows, layout.cols
+        embedded = self.text_embedding(
+            token_ids[rows, cols], token_segments[rows, cols], positions=cols
+        ) + self.layout_embedding(token_layout[rows, cols])
+        states = self.encoder(embedded, blocks=layout.blocks, masks=layout.masks)
+        pooled = self.pooler(states[layout.row_base]).tanh()
         return states, l2_normalize(pooled, axis=-1)
 
-    def infer_buckets(self, buckets) -> np.ndarray:
-        """Sentence vectors for several width buckets in one ragged pass.
-
-        ``buckets`` is an iterable of ``(token_ids, token_mask,
-        token_layout, token_segments)`` groups, each padded to its own
-        width.  All per-token work — embeddings, QKV/FFN projections,
-        layer norms, the pooler — runs on one concatenated ``(Σ n·t, d)``
-        buffer; only the attention core runs per bucket (see
-        :meth:`TransformerEncoder.infer_block`).  Returns the ``(Σ n, d)``
-        L2-normalised sentence vectors in bucket order, bitwise identical
-        at float64 to encoding each bucket separately.
-        """
+    def infer_ragged(
+        self,
+        token_ids: np.ndarray,
+        token_layout: np.ndarray,
+        token_segments: np.ndarray,
+        layout: RaggedLayout,
+    ) -> np.ndarray:
+        """Forward-only :meth:`forward_ragged` on raw arrays: the ``(m, d)``
+        sentence vectors in row order, in the encoder's inference dtype.
+        Each sentence's vector is the same whatever group it lands in."""
         dtype = self.encoder.inference_dtype
-        ids_parts, seg_parts, lay_parts, pos_parts = [], [], [], []
-        blocks, masks = [], []
-        offset = 0
-        for token_ids, token_mask, token_layout, token_segments in buckets:
-            token_ids = np.asarray(token_ids, dtype=np.int64)
-            rows, width = token_ids.shape
-            ids_parts.append(token_ids.reshape(-1))
-            seg_parts.append(np.asarray(token_segments, dtype=np.int64).reshape(-1))
-            lay_parts.append(
-                np.asarray(token_layout, dtype=np.int64).reshape(rows * width, -1)
-            )
-            pos_parts.append(
-                np.broadcast_to(np.arange(width), (rows, width)).reshape(-1)
-            )
-            blocks.append((offset, rows, width))
-            masks.append(token_mask)
-            offset += rows * width
+        rows, cols = layout.rows, layout.cols
         flat = self.text_embedding.infer(
-            np.concatenate(ids_parts),
-            np.concatenate(seg_parts),
-            dtype=dtype,
-            positions=np.concatenate(pos_parts),
+            token_ids[rows, cols], token_segments[rows, cols],
+            dtype=dtype, positions=cols,
         )
-        flat += self.layout_embedding.infer(
-            np.concatenate(lay_parts, axis=0), dtype=dtype
-        )
-        states = self.encoder.infer_block(flat, blocks, masks)
-        cls_rows = [
-            states[offset : offset + rows * width : width]
-            for offset, rows, width in blocks
-        ]
-        cls = cls_rows[0] if len(cls_rows) == 1 else np.concatenate(cls_rows, axis=0)
-        pooled = np.tanh(self.pooler.infer(cls))
+        flat += self.layout_embedding.infer(token_layout[rows, cols], dtype=dtype)
+        states = self.encoder.infer_block(flat, layout.blocks, layout.masks)
+        pooled = np.tanh(self.pooler.infer(states[layout.row_base]))
         norm = np.sqrt((pooled * pooled).sum(axis=-1, keepdims=True) + 1e-12)
         return pooled / norm

@@ -17,7 +17,7 @@ from ..corpus.datasets import NerExample
 from ..docmodel.labels import ENTITY_SCHEME, IobScheme
 from ..nn import BiLstm, Dropout, Mlp, Module, Tensor, TransformerEncoder, no_grad
 from ..nn import init as nn_init
-from ..nn.attention import width_groups
+from ..nn.attention import ragged_layout, width_groups
 from ..nn.functional import cross_entropy, softmax
 from ..nn.tensor import is_grad_enabled
 from ..text.wordpiece import WordPieceTokenizer
@@ -133,29 +133,17 @@ class NerEncoder(Module):
         each word's first piece.  Trailing padding is masked, so this
         matches :meth:`forward` plus the gather to GEMM round-off.
         """
-        piece_ids, piece_mask = features.piece_ids, features.piece_mask
-        groups = self.piece_groups(piece_mask)
-        row_base = np.empty(features.batch_size, dtype=np.int64)
-        blocks, masks = [], []
-        offset = 0
-        for rows, t in groups:
-            blocks.append((offset, rows.size, t))
-            masks.append(piece_mask[rows, :t])
-            row_base[rows] = offset + t * np.arange(rows.size)
-            offset += rows.size * t
-        # Flat (row, piece) coordinates of every group slot, group by group.
-        slot_rows = np.concatenate([np.repeat(rows, t) for rows, t in groups])
-        slot_cols = np.concatenate(
-            [np.tile(np.arange(t), rows.size) for rows, t in groups]
+        layout = ragged_layout(
+            self.piece_groups(features.piece_mask), features.piece_mask
         )
-        ids = piece_ids[slot_rows, slot_cols]
-        flat = self.embedding.infer(ids, np.zeros_like(ids), positions=slot_cols)
+        ids = features.piece_ids[layout.rows, layout.cols]
+        flat = self.embedding.infer(ids, np.zeros_like(ids), positions=layout.cols)
         if features.piece_shape is not None:
             flat += self.shape_project.infer(
-                features.piece_shape[slot_rows, slot_cols]
+                features.piece_shape[layout.rows, layout.cols]
             )
-        states = self.encoder.infer_block(flat, blocks, masks)
-        return states[row_base[:, None] + features.first_piece]
+        states = self.encoder.infer_block(flat, layout.blocks, layout.masks)
+        return states[layout.row_base[:, None] + features.first_piece]
 
 
 class NerTagger(Module):

@@ -3,33 +3,31 @@
 Two execution tiers share one set of parameters:
 
 * **Training** — :func:`fused_self_attention` runs the whole attention
-  chain (QKV projection → scaled scores → masked softmax → context →
-  output projection) as a *single* autograd node with one analytic
-  backward closure, instead of the ~25 primitive nodes the compositional
-  path builds.  The compositional path is kept as the reference
-  implementation (and is still used when attention-weight dropout is
-  active, which the fused kernel does not model).
+  chain (QKV projection → scaled scores → masked softmax → attention
+  dropout → context → output projection) as a *single* autograd node
+  with one analytic backward closure.  It takes either a ``(b, t, d)``
+  batch or a flat ragged buffer of padded width groups (``blocks``,
+  ``masks``), so a grads-on encoder runs the same layout as serving.
 * **Serving** — under ``no_grad`` with dropout inactive, the encoder
   stack always runs the allocation-lean raw-``ndarray`` kernel
   :meth:`TransformerEncoder.infer_block`: no ``Tensor`` boxing, no graph
   bookkeeping, per-row maps over one ``(rows, dim)`` buffer and the
-  attention core per padded group (groups cut by :func:`width_groups`).
-  ``inference_dtype`` lets the quantized int8 path run the elementwise
-  tail in float32.  At the
-  default ``float64`` the attention core mirrors the compositional op
-  order exactly (bit-identical); the full encoder layer matches the
-  training-graph forward to one-ulp LayerNorm round-off (its serving
-  kernel uses a fused einsum variance).
+  attention core per padded group (groups cut by :func:`width_groups`,
+  laid out by :func:`ragged_layout`).  ``inference_dtype`` lets the
+  quantized int8 path run the elementwise tail in float32.  At the
+  default ``float64`` the full encoder layer matches the training-graph
+  forward to GEMM and LayerNorm round-off (its serving kernel divides
+  the scores by ``sqrt(d)`` and uses a fused einsum variance).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import init
-from .functional import gelu, gelu_ndarray, masked_fill, softmax
+from .functional import gelu, gelu_ndarray
 from .layers import Dropout, LayerNorm, Linear
 from .module import Module, ModuleList
 from .tensor import Tensor, is_grad_enabled
@@ -61,8 +59,8 @@ def _masked_softmax_np(
     """Key-masked softmax over the last axis, on raw arrays.
 
     Mirrors ``masked_fill`` + ``functional.softmax`` operation for
-    operation so the float64 result is bit-identical to the
-    compositional path.
+    operation, so the float64 result is bit-identical to composing
+    those ops.
     """
     if attention_mask is not None:
         mask = np.asarray(attention_mask, dtype=bool)
@@ -96,59 +94,74 @@ def fused_self_attention(
     b_o: Tensor,
     num_heads: int,
     attention_mask: Optional[np.ndarray] = None,
+    blocks=None,
+    masks=None,
+    dropout: Optional[Callable] = None,
 ) -> Tensor:
     """The full attention chain as one batched-matmul autograd node.
 
-    Computes QKV projections, scaled dot-product scores, key-masked
-    softmax, context gather and the output projection in raw numpy and
-    registers a *single* backward closure that pushes analytic gradients
-    to ``x`` and all eight projection parameters — one graph node where
-    the compositional path builds a deep chain of primitives.
-
-    ``attention_mask`` is an optional ``(batch, seq)`` 0/1 array; masked
-    keys receive exactly zero attention weight (their fill value of
-    ``-1e9`` underflows the softmax), so their gradient contribution is
-    exactly zero as in the compositional reference.
+    QKV projections, scaled scores, key-masked softmax, attention-weight
+    dropout, context and output projection run in raw numpy under a
+    *single* analytic backward closure.  ``x`` is ``(batch, seq, dim)``
+    with an optional ``(batch, seq)`` 0/1 ``attention_mask`` — the
+    one-block case — or a flat ``(rows, dim)`` buffer of padded groups,
+    with ``blocks``/``masks`` as in :meth:`TransformerEncoder.infer_block`:
+    the projections run once over every row, the O(t²) core per group.
+    Masked keys get exactly zero weight (their ``-1e9`` fill underflows
+    the softmax) and so exactly zero gradient.  ``dropout`` maps each
+    group's weight shape to a scaled keep-mask or None
+    (:meth:`Dropout.sample_mask`), in group order.
     """
-    batch, seq, dim = x.shape
+    shape = x.shape
+    dim = shape[-1]
+    if blocks is None:
+        blocks, masks = [(0, shape[0], shape[1])], [attention_mask]
     head_dim = dim // num_heads
     scale = 1.0 / np.sqrt(head_dim)
-    data = x.data
+    flat = x.data.reshape(-1, dim)
+    rows = flat.shape[0]
 
-    flat = data.reshape(batch * seq, dim)
-    qm = (flat @ w_q.data + b_q.data).reshape(batch, seq, dim)
-    km = (flat @ w_k.data + b_k.data).reshape(batch, seq, dim)
-    vm = (flat @ w_v.data + b_v.data).reshape(batch, seq, dim)
-    q = _split_heads_np(qm, num_heads)
-    k = _split_heads_np(km, num_heads)
-    v = _split_heads_np(vm, num_heads)
-
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    weights = _masked_softmax_np(scores, attention_mask)
-    context = weights @ v
-    context_m = _merge_heads_np(context)
-    out_data = context_m @ w_o.data + b_o.data
+    qm = flat @ w_q.data + b_q.data
+    km = flat @ w_k.data + b_k.data
+    vm = flat @ w_v.data + b_v.data
+    context_m = np.empty((rows, dim))
+    saved = []
+    for (offset, n, t), mask in zip(blocks, masks):
+        span = slice(offset, offset + n * t)
+        q = _split_heads_np(qm[span].reshape(n, t, dim), num_heads)
+        k = _split_heads_np(km[span].reshape(n, t, dim), num_heads)
+        v = _split_heads_np(vm[span].reshape(n, t, dim), num_heads)
+        weights = _masked_softmax_np((q @ k.swapaxes(-1, -2)) * scale, mask)
+        keep = None if dropout is None else dropout(weights.shape)
+        dropped = weights if keep is None else weights * keep
+        # Each head's context lands straight in its columns of the
+        # shared buffer (no merge-heads copy).
+        out = context_m[span].reshape(n, t, dim)
+        np.matmul(dropped, v, out=_split_heads_np(out, num_heads))
+        saved.append((span, n, t, q, k, v, weights, keep, dropped))
+    out_data = (context_m @ w_o.data + b_o.data).reshape(shape)
 
     def backward(grad: np.ndarray) -> None:
-        grad2d = grad.reshape(batch * seq, dim)
-        b_o._accumulate(grad.sum(axis=(0, 1)))
-        w_o._accumulate(context_m.reshape(batch * seq, dim).T @ grad2d)
-        g_context = _split_heads_np(grad @ w_o.data.T, num_heads)
-
-        g_weights = g_context @ v.swapaxes(-1, -2)
-        g_v = weights.swapaxes(-1, -2) @ g_context
-        # Softmax backward: rows of exactly-zero weight (masked keys)
-        # contribute exactly zero, matching the constant fill value.
-        g_scores = weights * (
-            g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)
-        )
-        g_scores *= scale
-        g_q = g_scores @ k
-        g_k = g_scores.swapaxes(-1, -2) @ q
-
-        g_qm = _merge_heads_np(g_q).reshape(batch * seq, dim)
-        g_km = _merge_heads_np(g_k).reshape(batch * seq, dim)
-        g_vm = _merge_heads_np(g_v).reshape(batch * seq, dim)
+        grad2d = grad.reshape(rows, dim)
+        b_o._accumulate(grad2d.sum(axis=0))
+        w_o._accumulate(context_m.T @ grad2d)
+        g_context_m = grad2d @ w_o.data.T
+        g_qm, g_km, g_vm = (np.empty((rows, dim)) for _ in range(3))
+        for span, n, t, q, k, v, weights, keep, dropped in saved:
+            g_context = _split_heads_np(g_context_m[span].reshape(n, t, dim), num_heads)
+            g_weights = g_context @ v.swapaxes(-1, -2)
+            if keep is not None:
+                g_weights *= keep
+            g_v = dropped.swapaxes(-1, -2) @ g_context
+            # Softmax backward: rows of exactly-zero weight (masked keys)
+            # contribute exactly zero, matching the constant fill value.
+            g_scores = weights * (
+                g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)
+            )
+            g_scores *= scale
+            g_qm[span] = _merge_heads_np(g_scores @ k).reshape(n * t, dim)
+            g_km[span] = _merge_heads_np(g_scores.swapaxes(-1, -2) @ q).reshape(n * t, dim)
+            g_vm[span] = _merge_heads_np(g_v).reshape(n * t, dim)
         w_q._accumulate(flat.T @ g_qm)
         w_k._accumulate(flat.T @ g_km)
         w_v._accumulate(flat.T @ g_vm)
@@ -156,7 +169,7 @@ def fused_self_attention(
         b_k._accumulate(g_km.sum(axis=0))
         b_v._accumulate(g_vm.sum(axis=0))
         g_x = g_qm @ w_q.data.T + g_km @ w_k.data.T + g_vm @ w_v.data.T
-        x._accumulate(g_x.reshape(batch, seq, dim))
+        x._accumulate(g_x.reshape(shape))
 
     parents = (x, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o)
     return x._make(out_data, parents, backward)
@@ -166,12 +179,10 @@ class MultiHeadSelfAttention(Module):
     """Scaled dot-product multi-head self-attention.
 
     Operates on ``(batch, seq, dim)`` inputs with an optional boolean/0-1
-    ``attention_mask`` of shape ``(batch, seq)`` where 1 marks valid tokens.
-
-    The forward pass routes to :func:`fused_self_attention` whenever
-    attention-weight dropout is inactive (eval mode or ``dropout=0``);
-    the compositional reference path — identical math, one graph node
-    per primitive — remains for dropout and for parity testing.
+    ``attention_mask`` of shape ``(batch, seq)`` where 1 marks valid
+    tokens, or on a flat ragged buffer with ``blocks``/``masks`` (see
+    :func:`fused_self_attention`, the single op the forward records;
+    attention-weight dropout runs inside it).
     """
 
     def __init__(
@@ -194,56 +205,19 @@ class MultiHeadSelfAttention(Module):
         self.out = Linear(dim, dim, rng=rng)
         self.dropout = Dropout(dropout, rng=rng)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        batch, seq, _ = x.shape
-        return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(
-            0, 2, 1, 3
-        )
-
-    def _dropout_active(self) -> bool:
-        return self.dropout.training and self.dropout.p > 0.0
-
     def forward(
-        self, x: Tensor, attention_mask: Optional[np.ndarray] = None
+        self,
+        x: Tensor,
+        attention_mask: Optional[np.ndarray] = None,
+        blocks=None,
+        masks=None,
     ) -> Tensor:
-        if not self._dropout_active():
-            return fused_self_attention(
-                x,
-                self.query.weight,
-                self.query.bias,
-                self.key.weight,
-                self.key.bias,
-                self.value.weight,
-                self.value.bias,
-                self.out.weight,
-                self.out.bias,
-                self.num_heads,
-                attention_mask=attention_mask,
-            )
-        return self._forward_reference(x, attention_mask=attention_mask)
-
-    def _forward_reference(
-        self, x: Tensor, attention_mask: Optional[np.ndarray] = None
-    ) -> Tensor:
-        """Compositional-autograd attention (dropout + parity reference)."""
-        batch, seq, _ = x.shape
-        q = self._split_heads(self.query(x))
-        k = self._split_heads(self.key(x))
-        v = self._split_heads(self.value(x))
-
-        scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(self.head_dim)
-        if attention_mask is not None:
-            mask = np.asarray(attention_mask, dtype=bool)
-            if not mask.all():
-                # Broadcast key mask to (batch, heads, query, key).
-                invalid = ~mask[:, None, None, :]
-                invalid = np.broadcast_to(invalid, scores.shape)
-                scores = masked_fill(scores, invalid)
-        weights = softmax(scores, axis=-1)
-        weights = self.dropout(weights)
-        context = weights @ v
-        context = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
-        return self.out(context)
+        q, k, v, o = self.query, self.key, self.value, self.out
+        return fused_self_attention(
+            x, q.weight, q.bias, k.weight, k.bias, v.weight, v.bias, o.weight, o.bias,
+            self.num_heads, attention_mask=attention_mask, blocks=blocks,
+            masks=masks, dropout=self.dropout.sample_mask,
+        )
 
     def _quantized_qkv(self, x: np.ndarray) -> Optional[np.ndarray]:
         """One int8 GEMM for all three QKV projections, if quantized.
@@ -351,9 +325,15 @@ class TransformerEncoderLayer(Module):
         self.dropout = Dropout(dropout, rng=rng)
 
     def forward(
-        self, x: Tensor, attention_mask: Optional[np.ndarray] = None
+        self,
+        x: Tensor,
+        attention_mask: Optional[np.ndarray] = None,
+        blocks=None,
+        masks=None,
     ) -> Tensor:
-        attended = self.attention(x, attention_mask=attention_mask)
+        attended = self.attention(
+            x, attention_mask=attention_mask, blocks=blocks, masks=masks
+        )
         x = self.norm1(x + self.dropout(attended))
         transformed = self.ffn_out(gelu(self.ffn_in(x)))
         return self.norm2(x + self.dropout(transformed))
@@ -425,12 +405,20 @@ class TransformerEncoder(Module):
         return data
 
     def forward(
-        self, x: Tensor, attention_mask: Optional[np.ndarray] = None
+        self,
+        x: Tensor,
+        attention_mask: Optional[np.ndarray] = None,
+        blocks=None,
+        masks=None,
     ) -> Tensor:
+        """``x`` is ``(b, t, d)`` with ``attention_mask``, or a flat ragged
+        buffer with ``blocks``/``masks`` as in :meth:`infer_block`."""
         if not is_grad_enabled() and self._dropout_inactive():
+            if blocks is not None:
+                return Tensor(self.infer_block(x.data, blocks, masks))
             return Tensor(self.infer(x.data, attention_mask))
         for layer in self.layers:
-            x = layer(x, attention_mask=attention_mask)
+            x = layer(x, attention_mask=attention_mask, blocks=blocks, masks=masks)
         return x
 
 
@@ -453,3 +441,32 @@ def width_groups(widths, min_rows: int, max_groups: int) -> list:
         for rows in np.array_split(order, count)
         if rows.size > 0
     ]
+
+
+class RaggedLayout(NamedTuple):
+    """Padded ``(rows, width)`` rows laid out as one flat buffer of width
+    groups: the source ``(row, column)`` of every slot, the groups'
+    ``blocks``/``masks`` for :meth:`TransformerEncoder.infer_block`, and
+    the buffer index of each row's first slot."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    blocks: list
+    masks: list
+    row_base: np.ndarray
+
+
+def ragged_layout(groups, mask: np.ndarray) -> RaggedLayout:
+    """Lay out :func:`width_groups` ``groups`` of the rows of ``mask``
+    (``(rows, width)`` validity) as one flat buffer."""
+    row_base = np.empty(len(mask), dtype=np.int64)
+    blocks, masks = [], []
+    offset = 0
+    for rows, t in groups:
+        blocks.append((offset, rows.size, t))
+        masks.append(mask[rows, :t])
+        row_base[rows] = offset + t * np.arange(rows.size)
+        offset += rows.size * t
+    slot_rows = np.concatenate([np.repeat(rows, t) for rows, t in groups])
+    slot_cols = np.concatenate([np.tile(np.arange(t), rows.size) for rows, t in groups])
+    return RaggedLayout(slot_rows, slot_cols, blocks, masks, row_base)

@@ -39,26 +39,40 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not is_grad_enabled():
             return Tensor(self.infer(x.data))
+        out, pullback = self.vjp(x.data, input_grad=x.requires_grad)
+
+        def backward(grad: np.ndarray) -> None:
+            g_x = pullback(grad)
+            if g_x is not None:
+                x._accumulate(g_x)
+
+        parents = (x, self.weight) if self.bias is None else (x, self.weight, self.bias)
+        return x._make(out, parents, backward)
+
+    def vjp(self, x: np.ndarray, input_grad: bool = True):
+        """``(out, pullback)`` for a raw array: the graph-path forward, and
+        a closure that accumulates the weight/bias gradients and returns
+        ``x``'s (None unless ``input_grad``).  Modules folding this layer
+        into their own autograd node call it directly."""
         weight, bias = self.weight, self.bias
-        shape = x.data.shape
-        x2d = x.data.reshape(-1, shape[-1])
+        shape = x.shape
+        x2d = x.reshape(-1, shape[-1])
         out2d = x2d @ weight.data
         if bias is not None:
             out2d += bias.data
 
-        def backward(grad: np.ndarray) -> None:
-            # One node for any input rank: every leading axis is a row of
-            # one GEMM, so the weight gradient is a single x2d.T @ grad2d.
+        def pullback(grad: np.ndarray) -> Optional[np.ndarray]:
+            # Every leading axis is a row of one GEMM, so the weight
+            # gradient is a single x2d.T @ grad2d.
             grad2d = grad.reshape(out2d.shape)
             weight._accumulate(x2d.T @ grad2d)
             if bias is not None:
                 bias._accumulate(grad2d.sum(axis=0))
-            if x.requires_grad:
-                x._accumulate((grad2d @ weight.data.T).reshape(shape))
+            if not input_grad:
+                return None
+            return (grad2d @ weight.data.T).reshape(shape)
 
-        parents = (x, weight) if bias is None else (x, weight, bias)
-        out = out2d.reshape(shape[:-1] + out2d.shape[1:])
-        return x._make(out, parents, backward)
+        return out2d.reshape(shape[:-1] + out2d.shape[1:]), pullback
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Forward-only affine map on a raw array — no graph, no boxing.
@@ -146,27 +160,36 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not is_grad_enabled():
             return Tensor(self.infer(x.data))
+        out, pullback = self.vjp(x.data)
+
+        def backward(grad: np.ndarray) -> None:
+            x._accumulate(pullback(grad))
+
+        return x._make(out, (x, self.gamma, self.beta), backward)
+
+    def vjp(self, x: np.ndarray):
+        """``(out, pullback)`` for a raw array, as :meth:`Linear.vjp`.  The
+        forward repeats the primitive chain ``mean -> centre -> variance
+        -> divide -> scale -> shift`` in order, so it is bit-identical to
+        composing those ops."""
         gamma, beta = self.gamma, self.beta
-        # One node.  The forward repeats the primitive-op chain of
-        # ``mean -> centre -> variance -> divide -> scale -> shift`` in the
-        # same order, so its output is bit-identical to composing those ops.
         count = float(self.dim)
-        centered = x.data - x.data.sum(axis=-1, keepdims=True) / count
+        centered = x - x.sum(axis=-1, keepdims=True) / count
         var = (centered * centered).sum(axis=-1, keepdims=True) / count
         std = np.sqrt(var + self.eps)
         normed = centered / std
         out = normed * gamma.data + beta.data
 
-        def backward(grad: np.ndarray) -> None:
+        def pullback(grad: np.ndarray) -> np.ndarray:
             rows = grad.reshape(-1, self.dim)
             gamma._accumulate((rows * normed.reshape(-1, self.dim)).sum(axis=0))
             beta._accumulate(rows.sum(axis=0))
             g_normed = grad * gamma.data
             g_mean = g_normed.sum(axis=-1, keepdims=True) / count
             g_proj = (g_normed * normed).sum(axis=-1, keepdims=True) / count
-            x._accumulate((g_normed - g_mean - normed * g_proj) / std)
+            return (g_normed - g_mean - normed * g_proj) / std
 
-        return x._make(out, (x, gamma, beta), backward)
+        return out, pullback
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Forward-only layer norm on a raw array.
@@ -212,11 +235,16 @@ class Dropout(Module):
         self._rng = rng or init.default_rng()
 
     def forward(self, x: Tensor) -> Tensor:
+        mask = self.sample_mask(x.shape)
+        return x if mask is None else x * Tensor(mask)
+
+    def sample_mask(self, shape) -> Optional[np.ndarray]:
+        """One call's scaled keep-mask (``keep / (1 - p)``), or None when
+        dropout is inactive (eval mode or ``p == 0``)."""
         if not self.training or self.p == 0.0:
-            return x
+            return None
         keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(np.float64) / keep
-        return x * Tensor(mask)
+        return (self._rng.random(shape) < keep).astype(np.float64) / keep
 
 
 class Mlp(Module):

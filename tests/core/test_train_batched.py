@@ -25,7 +25,14 @@ from repro.core import (
     iter_minibatches,
     masked_copy,
 )
+from repro.core.embeddings import LayoutEmbedding, TextEmbedding
 from repro.nn import AdamW, ParamGroup, Tensor, concat
+
+from ..helpers import (
+    per_bucket_sentence_pass,
+    primitive_layout_embedding,
+    primitive_text_embedding,
+)
 
 
 @pytest.fixture()
@@ -108,10 +115,12 @@ class TestBlockLossParity:
     def test_loss_graph_stays_small(self, classifier, featurizer, tiny_docs):
         """Pins the size of one batched loss graph.
 
-        ``LayerNorm``, ``Linear``, ``gelu`` and attention are one node each;
-        built from primitive ops the same 4-document graph has 660
-        reachable nodes.  Backward cost is mostly per-node overhead, so a
-        refactor back to primitive ops must fail here.
+        ``LayerNorm``, ``Linear``, ``gelu``, attention and both embeddings
+        are one node each, and the sentence encoder is one ragged pass;
+        built from primitive ops with one pass per width group, the same
+        4-document graph has 660 reachable nodes.  Backward cost is mostly
+        per-node overhead, so a refactor back to primitive ops or
+        per-group passes must fail here.
         """
         classifier.train()
         features = [featurizer.featurize(d) for d in tiny_docs[:4]]
@@ -126,7 +135,71 @@ class TestBlockLossParity:
             if id(node) not in seen:
                 seen[id(node)] = node
                 stack.extend(node._parents)
-        assert len(seen) <= 300
+        assert len(seen) <= 120
+
+
+def _loss_batch_gradients(classifier, featurizer, docs):
+    classifier.train()
+    features = [featurizer.featurize(d) for d in docs]
+    labels = collate_labels(
+        features, [LabeledDocument.from_gold(d).labels for d in docs]
+    )
+    parameters = classifier.parameters()
+    for p in parameters:
+        p.grad = None
+    loss = classifier.loss_batch(collate_documents(features), labels)
+    loss.backward()
+    return float(loss.data), [None if p.grad is None else p.grad.copy() for p in parameters]
+
+
+class TestOneNodeEmbeddings:
+    def test_loss_batch_gradients_bitwise_equal_primitive_path(
+        self, classifier, featurizer, tiny_docs, monkeypatch
+    ):
+        node_loss, node_grads = _loss_batch_gradients(
+            classifier, featurizer, tiny_docs[:4]
+        )
+        monkeypatch.setattr(TextEmbedding, "forward", primitive_text_embedding)
+        monkeypatch.setattr(LayoutEmbedding, "forward", primitive_layout_embedding)
+        loss, grads = _loss_batch_gradients(classifier, featurizer, tiny_docs[:4])
+        assert node_loss == loss
+        for (name, _), got, expected in zip(
+            classifier.named_parameters(), node_grads, grads
+        ):
+            assert (got is None) == (expected is None), name
+            if got is not None:
+                np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+class TestRaggedSentencePass:
+    def test_gradients_match_per_bucket_oracle(self, encoder, featurizer, tiny_docs):
+        encoder.train()
+        batch = collate_documents([featurizer.featurize(d) for d in tiny_docs])
+        layout = encoder.sentence_layout(batch.token_mask)
+        assert len(layout.blocks) >= 2
+        rng = np.random.default_rng(4)
+        dim = encoder.config.hidden_dim
+        state_weights = Tensor(rng.normal(size=(layout.rows.size, dim)))
+        vector_weights = Tensor(rng.normal(size=(batch.token_mask.shape[0], dim)))
+        parameters = list(encoder.sentence_encoder.named_parameters())
+
+        def gradients(states, vectors):
+            for _, p in parameters:
+                p.grad = None
+            ((states * state_weights).sum() + (vectors * vector_weights).sum()).backward()
+            return {name: p.grad.copy() for name, p in parameters}
+
+        ragged = gradients(*encoder.sentence_encoder.forward_ragged(
+            batch.token_ids, batch.token_layout, batch.token_segments, layout
+        ))
+        oracle = gradients(*per_bucket_sentence_pass(encoder, batch))
+        names = {name for name, _ in parameters}
+        assert any(name.startswith("text_embedding.") for name in names)
+        assert any(name.startswith("layout_embedding.") for name in names)
+        for name in names:
+            np.testing.assert_allclose(
+                ragged[name], oracle[name], rtol=0, atol=1e-10, err_msg=name
+            )
 
 
 class TestPretrainParity:
@@ -159,6 +232,56 @@ class TestPretrainParity:
                 singles.append(float(term.data))
             offset += m
         assert float(batched.data) == pytest.approx(np.mean(singles), abs=1e-9)
+
+    def test_mlm_head_sees_only_selected_rows(self, pretrainer, doc_features, monkeypatch):
+        batch = collate_documents(doc_features)
+        vocab = pretrainer.featurizer.tokenizer.vocab
+        corruption = masked_copy(
+            batch.token_ids, batch.token_mask, pretrainer.config.token_mask_prob,
+            vocab.mask_id, len(vocab), np.random.default_rng(7),
+        )
+        head = pretrainer.heads.mlm
+        seen = []
+
+        def probe(x):
+            seen.append(x.shape)
+            return type(head).forward(head, x)
+
+        monkeypatch.setattr(head, "forward", probe)
+        pretrainer.mllm_loss_batch(batch, corruption=corruption)
+        selected = int(corruption[1].sum())
+        assert seen == [(selected, pretrainer.config.hidden_dim)]
+        assert selected < batch.token_mask.sum()
+
+    def test_mllm_span_counts_rows_under_a_session(self, pretrainer, doc_features):
+        from repro import obs
+
+        batch = collate_documents(doc_features)
+        vocab = pretrainer.featurizer.tokenizer.vocab
+        corruption = masked_copy(
+            batch.token_ids, batch.token_mask, pretrainer.config.token_mask_prob,
+            vocab.mask_id, len(vocab), np.random.default_rng(7),
+        )
+        session = obs.Telemetry()
+        with obs.use_telemetry(session):
+            pretrainer.mllm_loss_batch(batch, corruption=corruption)
+        (span,) = [s for s in session.tracer.finished() if s.name == "pretrain.mllm"]
+        layout = pretrainer.encoder.sentence_layout(batch.token_mask)
+        assert span.attributes["mlm_rows"] == int(corruption[1].sum())
+        assert span.attributes["token_slots"] == layout.rows.size
+        assert batch.token_mask.sum() <= layout.rows.size < batch.token_mask.size
+
+    def test_mllm_without_session_sets_no_attributes(
+        self, pretrainer, doc_features, monkeypatch
+    ):
+        from repro.obs.tracing import Span
+
+        calls = []
+        monkeypatch.setattr(
+            Span, "set_attribute", lambda self, key, value: calls.append(key)
+        )
+        pretrainer.mllm_loss_batch(collate_documents(doc_features))
+        assert calls == []
 
     def test_scl_and_dnsp_batched_equal_per_document(
         self, pretrainer, doc_features

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    Dropout,
     MultiHeadSelfAttention,
     Tensor,
     TransformerEncoder,
     TransformerEncoderLayer,
 )
+
+from ..helpers import reference_attention
 
 RNG = np.random.default_rng(5)
 
@@ -83,13 +86,68 @@ class TestFusedAttentionAgainstReference:
 
         # eval + dropout=0 routes forward() through fused_self_attention.
         fused = run(lambda x: attn(x, attention_mask=mask))
-        ref = run(lambda x: attn._forward_reference(x, attention_mask=mask))
+        ref = run(lambda x: reference_attention(attn, x, attention_mask=mask))
         np.testing.assert_allclose(fused[0], ref[0], atol=1e-9)
         np.testing.assert_allclose(fused[1], ref[1], atol=1e-9)
         for name in ref[2]:
             np.testing.assert_allclose(
                 fused[2][name], ref[2][name], atol=1e-9, err_msg=name
             )
+
+
+class TestRaggedTrainingNode:
+    """One fused node over a flat buffer of width groups, dropout included."""
+
+    GROUPS = [(2, 3), (3, 5)]  # (n sequences, t timesteps) per group
+
+    def _ragged_inputs(self):
+        chunks, blocks, masks, offset = [], [], [], 0
+        for n, t in self.GROUPS:
+            mask = np.ones((n, t), dtype=np.int64)
+            mask[-1, t - 1] = 0  # a padded key in every group
+            chunks.append(RNG.normal(size=(n, t, 16)))
+            blocks.append((offset, n, t))
+            masks.append(mask)
+            offset += n * t
+        return chunks, blocks, masks
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_matches_per_group_oracle_with_same_dropout_masks(self, p):
+        attn = MultiHeadSelfAttention(16, 4, dropout=p, rng=np.random.default_rng(1))
+        attn.train()
+        chunks, blocks, masks = self._ragged_inputs()
+        weights = RNG.normal(size=(sum(n * t for n, t in self.GROUPS), 16))
+
+        attn.dropout._rng = np.random.default_rng(11)
+        attn.zero_grad()
+        flat = Tensor(np.concatenate([c.reshape(-1, 16) for c in chunks]),
+                      requires_grad=True)
+        out = attn(flat, blocks=blocks, masks=masks)
+        (out * Tensor(weights)).sum().backward()
+        got = {name: q.grad.copy() for name, q in attn.named_parameters()}
+
+        # The oracle drops weights with a twin generator, group by group.
+        oracle_dropout = Dropout(p, rng=np.random.default_rng(11))
+        attn.zero_grad()
+        inputs, outputs = [], []
+        for chunk, mask in zip(chunks, masks):
+            x = Tensor(chunk, requires_grad=True)
+            inputs.append(x)
+            outputs.append(reference_attention(
+                attn, x, attention_mask=mask, dropout=oracle_dropout
+            ))
+        total = None
+        for (offset, n, t), o in zip(blocks, outputs):
+            term = (o * Tensor(weights[offset : offset + n * t].reshape(n, t, 16))).sum()
+            total = term if total is None else total + term
+        total.backward()
+
+        expected_out = np.concatenate([o.data.reshape(-1, 16) for o in outputs])
+        np.testing.assert_allclose(out.data, expected_out, atol=1e-10)
+        expected_gx = np.concatenate([x.grad.reshape(-1, 16) for x in inputs])
+        np.testing.assert_allclose(flat.grad, expected_gx, atol=1e-10)
+        for name, q in attn.named_parameters():
+            np.testing.assert_allclose(got[name], q.grad, atol=1e-10, err_msg=name)
 
 
 class TestInferenceKernels:
@@ -101,9 +159,7 @@ class TestInferenceKernels:
         attn.eval()
         x = RNG.normal(size=(2, 6, 16))
         mask = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0]])
-        expected = attn._forward_reference(
-            Tensor(x), attention_mask=mask
-        ).numpy()
+        expected = reference_attention(attn, Tensor(x), attention_mask=mask).numpy()
         got = attn._infer_block(x.reshape(12, 16), [(0, 2, 6)], [mask])
         np.testing.assert_array_equal(got.reshape(2, 6, 16), expected)
 
