@@ -12,7 +12,7 @@ Three layers of defence against silent invariant violations in
   interprocedural call graph of :mod:`repro.analysis.callgraph`.
 * :mod:`repro.analysis.lock_audit` — a runtime lock-order sanitizer
   ("tsan-lite"): instrumented lock factories, per-thread acquisition
-  stacks, lock-order-cycle / long-hold / critical-hold reports
+  stacks, lock-order-cycle and long-hold reports
   (``python -m repro.analysis.lock_audit tests/obs``).
 * :mod:`repro.analysis.gradcheck` — central-difference numerical gradient
   checking plus a sweep harness that auto-discovers every differentiable

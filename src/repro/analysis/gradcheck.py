@@ -209,6 +209,11 @@ NON_DIFFERENTIABLE: Dict[str, str] = {
     "quantize_model": "structural transform, not an op",
     "dequantize": "structural transform, not an op",
     "calibration": "context manager toggling calibration state",
+    "CalibrationError": "exception type, not an op",
+    "set_serving_dtype": "dtype switch on encoder stacks, not an op",
+    "quantize_for_inference": "structural transform plus calibration pass",
+    "activation_scales": "calibration-state export, not an op",
+    "restore_activation_scales": "structural transform from saved scales",
     "quantization_report": "telemetry summary, not an op",
 }
 

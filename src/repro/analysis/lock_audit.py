@@ -18,11 +18,9 @@ single statement.  This module observes that graph cheaply at test time:
   deadlock (two sites acquired in both orders), reported with the
   first-seen stack of every participating edge.
 
-On top of ordering it also flags operational hazards: holds longer than
+On top of ordering it also flags holds longer than
 ``long_hold_seconds`` (lock-hold hygiene — nothing slow belongs under a
-lock) and any acquisition made while holding a *critical* lock (sites
-matching ``critical_patterns``, none by default): a lock on a hot loop
-must never block on telemetry locks.
+lock).
 
 Sites, not lock objects, are the graph nodes: every ``Counter`` creates
 its own ``self._lock`` at the same line, and it is the per-*class*
@@ -64,17 +62,12 @@ import threading
 import time
 import traceback
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["InstrumentedLock", "LockAudit", "audit_locks", "main"]
 
 #: Module-name filters audited by default: the package, its tests.
 DEFAULT_MODULES = ("repro", "tests", "test_")
-
-#: Sites matching any of these substrings are critical: acquiring
-#: anything else while holding one is flagged.  No library lock is
-#: critical today; callers pass their own patterns.
-DEFAULT_CRITICAL_PATTERNS: Tuple[str, ...] = ()
 
 #: Holding any lock longer than this is flagged (seconds).
 DEFAULT_LONG_HOLD_SECONDS = 0.25
@@ -110,13 +103,8 @@ class LockAudit:
     cannot observe itself).
     """
 
-    def __init__(
-        self,
-        long_hold_seconds: float = DEFAULT_LONG_HOLD_SECONDS,
-        critical_patterns: Sequence[str] = DEFAULT_CRITICAL_PATTERNS,
-    ):
+    def __init__(self, long_hold_seconds: float = DEFAULT_LONG_HOLD_SECONDS):
         self.long_hold_seconds = long_hold_seconds
-        self.critical_patterns = tuple(critical_patterns)
         self._meta = threading.Lock()
         self._held = threading.local()
         #: (from_site, to_site) -> {"count", "stack" (first seen), "threads"}
@@ -124,7 +112,6 @@ class LockAudit:
         self.sites: Dict[str, int] = {}  # site -> locks created there
         self.acquisitions = 0
         self.long_holds: List[Dict[str, object]] = []
-        self.critical_violations: List[Dict[str, object]] = []
         self.same_site_nestings: List[Dict[str, object]] = []
 
     # -- wiring ---------------------------------------------------------
@@ -137,9 +124,6 @@ class LockAudit:
         if stack is None:
             stack = self._held.stack = []
         return stack
-
-    def _is_critical(self, site: str) -> bool:
-        return any(pattern in site for pattern in self.critical_patterns)
 
     # -- events (called by InstrumentedLock with the lock just taken) ---
     def note_acquire(self, lock_id: int, site: str) -> None:
@@ -172,14 +156,6 @@ class LockAudit:
                     else:
                         edge["count"] += 1
                         edge["threads"].add(thread)
-                    if self._is_critical(prior.site) and not self._is_critical(site):
-                        if len(self.critical_violations) < _MAX_EVENTS:
-                            self.critical_violations.append({
-                                "held": prior.site,
-                                "acquired": site,
-                                "thread": thread,
-                                "stack": _short_stack(),
-                            })
         else:
             with self._meta:
                 self.acquisitions += 1
@@ -295,7 +271,6 @@ class LockAudit:
             },
             "cycles": cycles,
             "long_holds": list(self.long_holds),
-            "critical_violations": list(self.critical_violations),
             "same_site_nestings": [
                 {"site": event["site"], "thread": event["thread"]}
                 for event in self.same_site_nestings
@@ -373,7 +348,6 @@ def audit_locks(
     audit: Optional[LockAudit] = None,
     modules: Sequence[str] = DEFAULT_MODULES,
     long_hold_seconds: float = DEFAULT_LONG_HOLD_SECONDS,
-    critical_patterns: Sequence[str] = DEFAULT_CRITICAL_PATTERNS,
 ):
     """Patch the ``threading`` lock factories for the duration of the block.
 
@@ -386,10 +360,7 @@ def audit_locks(
     uninstrumented.  Yields the shared :class:`LockAudit`.
     """
     if audit is None:
-        audit = LockAudit(
-            long_hold_seconds=long_hold_seconds,
-            critical_patterns=critical_patterns,
-        )
+        audit = LockAudit(long_hold_seconds=long_hold_seconds)
     real_lock = threading.Lock
     real_rlock = threading.RLock
 
@@ -421,8 +392,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run pytest over the given paths under the lock audit.
 
     Exit status: 0 when the tests pass and the acquisition graph is
-    acyclic, 1 otherwise.  Long holds and critical-lock violations are
-    reported but advisory (they do not fail the run on their own).
+    acyclic, 1 otherwise.  Long holds are reported but advisory (they do
+    not fail the run on their own).
     """
     import argparse
     import json
@@ -447,11 +418,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="advisory threshold for long lock holds",
     )
     parser.add_argument(
-        "--critical",
-        default=",".join(DEFAULT_CRITICAL_PATTERNS),
-        help="comma-separated site substrings marking critical locks",
-    )
-    parser.add_argument(
         "--pytest-arg",
         action="append",
         default=[],
@@ -462,11 +428,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     import pytest
 
     modules = tuple(m.strip() for m in options.modules.split(",") if m.strip())
-    critical = tuple(c.strip() for c in options.critical.split(",") if c.strip())
     with audit_locks(
-        modules=modules,
-        long_hold_seconds=options.long_hold_seconds,
-        critical_patterns=critical,
+        modules=modules, long_hold_seconds=options.long_hold_seconds
     ) as audit:
         status = pytest.main(list(options.paths) + ["-q"] + options.pytest_arg)
 
@@ -490,11 +453,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"  {len(report['long_holds'])} long hold(s); worst "
             f"{worst['seconds']}s at {worst['site']}"
-        )
-    for violation in report["critical_violations"]:
-        print(
-            f"  CRITICAL-HOLD: {violation['acquired']} acquired while "
-            f"holding {violation['held']}"
         )
     if not report["cycles"]:
         print("lock audit: no lock-order cycles")

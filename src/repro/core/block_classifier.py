@@ -74,58 +74,40 @@ class BlockClassifier(Module):
             [2 * lstm_hidden, lstm_hidden, scheme.num_labels], rng=rng
         )
         self.crf = LinearChainCrf(scheme.num_labels, rng=rng)
-        self._quantized = False
+        nn_quantize.set_serving_dtype(self, getattr(np, encoder.config.inference_precision))
 
     # ------------------------------------------------------------------
-    # Inference precision (see ResuFormerConfig.inference_precision)
+    # int8 serving (float64/float32: ResuFormerConfig.inference_precision)
     # ------------------------------------------------------------------
     def quantize_for_inference(
-        self, calibration_documents: Sequence[ResumeDocument] = ()
+        self, calibration_documents: Sequence[ResumeDocument]
     ) -> int:
-        """Swap the model's Linears for int8 kernels and calibrate.
+        """Swap the model's Linears for int8 kernels and calibrate once.
 
-        The calibration pass pushes held-out documents through the
-        quantized stack while it records activation ranges, freezing a
-        per-layer activation scale so serving results are independent of
-        batch composition.  Returns the number of quantized layers;
-        idempotent.  Training requires :meth:`dequantize` first.
+        The held-out documents fix every layer's activation scale, so
+        serving results depend neither on batch composition nor on what
+        the process served first.  Returns the number of quantized
+        layers.  Training requires :meth:`dequantize` first.
         """
-        count = nn_quantize.quantize_model(self)
-        self._quantized = True
-        if calibration_documents:
-            self.eval()
-            features = [
-                self.featurizer.featurize(d) for d in calibration_documents
-            ]
-            with nn_quantize.calibration(self), no_grad():
-                self.emissions_batch(collate_documents(features))
-        return count
+        return nn_quantize.quantize_for_inference(
+            self, calibration_documents,
+            lambda documents: self.emissions_batch(collate_documents(
+                [self.featurizer.featurize(d) for d in documents]
+            )),
+        )
 
     def dequantize(self) -> int:
-        """Restore the float layers swapped out by :meth:`quantize_for_inference`."""
-        self._quantized = False
-        return nn_quantize.dequantize(self)
-
-    def _ensure_inference_precision(
-        self, documents: Sequence[ResumeDocument]
-    ) -> str:
-        """Lazily apply the configured serving precision; returns it.
-
-        ``int8`` quantizes on first use, calibrating on a slice of the
-        incoming documents; ``float32`` flips the raw-array encoder kernels
-        to single precision; the default ``float64`` is a no-op (the
-        raw-array kernels already serve at full precision).
-        """
-        precision = getattr(
-            self.encoder.config, "inference_precision", "float64"
+        """Restore the float layers, serving at the configured precision."""
+        return nn_quantize.dequantize(
+            self, getattr(np, self.encoder.config.inference_precision)
         )
-        if precision == "int8" and not self._quantized:
-            self.quantize_for_inference(documents[:8])
-        elif precision == "float32" and not self._quantized:
-            for module in self.modules():
-                if hasattr(module, "inference_dtype"):
-                    module.inference_dtype = np.float32
-        return precision
+
+    @property
+    def precision(self) -> str:
+        """Serving precision: int8 once quantized, else the configured one."""
+        if isinstance(self.mlp.layers[0], nn_quantize.QuantizedLinear):
+            return "int8"
+        return self.encoder.config.inference_precision
 
     # ------------------------------------------------------------------
     def emissions(self, features: DocumentFeatures) -> Tensor:
@@ -204,7 +186,7 @@ class BlockClassifier(Module):
         live = [i for i, d in enumerate(documents) if d.num_sentences]
         if not live:
             return results
-        precision = self._ensure_inference_precision([documents[i] for i in live])
+        precision = self.precision
         self.eval()
         telemetry = obs.get_telemetry()
         # Chunk documents in ascending sentence-count order so each padded
@@ -247,7 +229,7 @@ class BlockClassifier(Module):
                         telemetry.drift, chunk, features, batch, emissions,
                         chunk_labels,
                     )
-        if telemetry is not None and self._quantized:
+        if telemetry is not None and precision == "int8":
             for name, value in nn_quantize.quantization_report(self).items():
                 telemetry.metrics.gauge(name).set(value)
         return results

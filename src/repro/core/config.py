@@ -13,7 +13,16 @@ from dataclasses import dataclass
 
 from ..corpus.render import VISUAL_DIM
 
-__all__ = ["ResuFormerConfig"]
+__all__ = ["ResuFormerConfig", "check_inference_precision"]
+
+
+def check_inference_precision(precision: str) -> None:
+    """Accept the float serving precisions; int8 is calibrated model state."""
+    if precision not in ("float64", "float32"):
+        raise ValueError(
+            f"inference_precision must be 'float64' or 'float32', not "
+            f"{precision!r}; int8 is entered with quantize_for_inference()"
+        )
 
 
 @dataclass
@@ -38,11 +47,11 @@ class ResuFormerConfig:
     dropout: float = 0.1
     ffn_multiplier: int = 2
     # --- serving ----------------------------------------------------------
-    #: Numeric regime of the inference fast path: "float64" (full
-    #: precision, matches the training-graph forward to a few ulp of
-    #: GEMM/LayerNorm round-off), "float32" (single-precision fused
-    #: kernels) or "int8" (per-channel quantized GEMMs with a calibration
-    #: pass; see repro.nn.quantize).
+    #: Numeric regime of the inference fast path, applied when the model
+    #: is built: "float64" (full precision, matches the training-graph
+    #: forward to a few ulp of GEMM/LayerNorm round-off) or "float32"
+    #: (single-precision kernels).  int8 is calibrated model state,
+    #: entered with ``BlockClassifier.quantize_for_inference``.
     inference_precision: str = "float64"
     # --- pre-training (Section V-A2) -------------------------------------
     token_mask_prob: float = 0.15
@@ -65,11 +74,7 @@ class ResuFormerConfig:
             raise ValueError("document_dim must divide document_heads")
         if not 0.0 < self.temperature:
             raise ValueError("temperature must be positive")
-        if self.inference_precision not in ("float64", "float32", "int8"):
-            raise ValueError(
-                "inference_precision must be 'float64', 'float32' or 'int8': "
-                f"{self.inference_precision!r}"
-            )
+        check_inference_precision(self.inference_precision)
         return self
 
     @classmethod

@@ -13,10 +13,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .. import obs
+from ..core.config import check_inference_precision
 from ..corpus.datasets import NerExample
 from ..docmodel.labels import ENTITY_SCHEME, IobScheme
 from ..nn import BiLstm, Dropout, Mlp, Module, Tensor, TransformerEncoder, no_grad
 from ..nn import init as nn_init
+from ..nn import quantize as nn_quantize
 from ..nn.attention import ragged_layout, width_groups
 from ..nn.functional import cross_entropy, softmax
 from ..nn.tensor import is_grad_enabled
@@ -45,11 +47,7 @@ class NerConfig:
     ):
         if hidden_dim % heads:
             raise ValueError("hidden_dim must divide heads")
-        if inference_precision not in ("float64", "float32", "int8"):
-            raise ValueError(
-                "inference_precision must be 'float64', 'float32' or "
-                f"'int8': {inference_precision!r}"
-            )
+        check_inference_precision(inference_precision)
         self.vocab_size = vocab_size
         self.hidden_dim = hidden_dim
         self.layers = layers
@@ -169,45 +167,28 @@ class NerTagger(Module):
         self.mlp = Mlp(
             [2 * config.lstm_hidden, config.lstm_hidden, scheme.num_labels], rng=rng
         )
-        self._quantized = False
+        nn_quantize.set_serving_dtype(self, getattr(np, config.inference_precision))
 
     # ------------------------------------------------------------------
-    # Inference precision (see NerConfig.inference_precision)
+    # int8 serving (float64/float32: NerConfig.inference_precision)
     # ------------------------------------------------------------------
-    def quantize_for_inference(
-        self, calibration_examples: Sequence[NerExample] = ()
-    ) -> int:
-        """Swap Linears for int8 kernels; calibrate on held-out examples."""
-        from ..nn import quantize as nn_quantize
-
-        count = nn_quantize.quantize_model(self)
-        self._quantized = True
-        if calibration_examples:
-            self.eval()
-            features = self.featurizer.featurize(calibration_examples)
-            with nn_quantize.calibration(self), no_grad():
-                self.logits(features)
-        return count
+    def quantize_for_inference(self, calibration_examples: Sequence[NerExample]) -> int:
+        """Swap Linears for int8 kernels; calibrate once on held-out examples."""
+        return nn_quantize.quantize_for_inference(
+            self, calibration_examples,
+            lambda examples: self.logits(self.featurizer.featurize(examples)),
+        )
 
     def dequantize(self) -> int:
-        """Restore the float layers swapped by :meth:`quantize_for_inference`."""
-        from ..nn import quantize as nn_quantize
+        """Restore the float layers, serving at the configured precision."""
+        return nn_quantize.dequantize(self, getattr(np, self.config.inference_precision))
 
-        self._quantized = False
-        return nn_quantize.dequantize(self)
-
-    def _ensure_inference_precision(
-        self, examples: Sequence[NerExample]
-    ) -> str:
-        """Lazily apply ``config.inference_precision``; returns it."""
-        precision = getattr(self.config, "inference_precision", "float64")
-        if precision == "int8" and not self._quantized:
-            self.quantize_for_inference(list(examples)[:8])
-        elif precision == "float32" and not self._quantized:
-            for module in self.modules():
-                if hasattr(module, "inference_dtype"):
-                    module.inference_dtype = np.float32
-        return precision
+    @property
+    def precision(self) -> str:
+        """Serving precision: int8 once quantized, else the configured one."""
+        if isinstance(self.mlp.layers[0], nn_quantize.QuantizedLinear):
+            return "int8"
+        return self.config.inference_precision
 
     # ------------------------------------------------------------------
     def word_states(self, features: NerFeatures) -> Tensor:
@@ -269,7 +250,6 @@ class NerTagger(Module):
     # ------------------------------------------------------------------
     def predict_probs(self, examples: Sequence[NerExample]) -> np.ndarray:
         """Class distributions ``(b, w, num_labels)`` (eval mode, no grad)."""
-        self._ensure_inference_precision(examples)
         features = self.featurizer.featurize(examples)
         self.eval()
         with no_grad():
@@ -281,9 +261,8 @@ class NerTagger(Module):
     ):
         """Decoded labels plus the raw ``(b, w, num_labels)`` scores."""
         self.eval()
-        precision = getattr(self.config, "inference_precision", "float64")
         with obs.trace("encode", batch=features.batch_size,
-                       precision=precision) as span, no_grad():
+                       precision=self.precision) as span, no_grad():
             scores = self.logits(features).numpy()
             if span is not None:
                 # Valid piece rows against the rows the ragged groups ran.
@@ -324,12 +303,11 @@ class NerTagger(Module):
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        precision = self._ensure_inference_precision(examples)
         telemetry = obs.get_telemetry()
         order = sorted(range(len(examples)), key=lambda i: len(examples[i].words))
         predictions: List[Optional[List[str]]] = [None] * len(examples)
         with obs.trace("ner.predict", examples=len(examples),
-                       batch_size=batch_size, precision=precision):
+                       batch_size=batch_size, precision=self.precision):
             for start in range(0, len(order), batch_size):
                 indices = order[start : start + batch_size]
                 chunk = [examples[i] for i in indices]

@@ -252,7 +252,7 @@ class MultiHeadSelfAttention(Module):
             self._qkv_cache = cached
         _, weight_f32, weight_scale, bias_f32 = cached
         x32 = x.astype(np.float32, copy=False)
-        scale = self.query.act_scale(x32)
+        scale = self.query.act_scale()
         x_q = quantize_activations(x32, scale)
         out = x_q @ weight_f32
         out *= np.float32(scale) * weight_scale

@@ -14,10 +14,13 @@ quantization itself.
 
 Usage::
 
-    quantize_model(model)                      # swap Linears for int8
-    with calibration(model):
-        model.encode(held_out_slice)           # record activation ranges
+    quantize_for_inference(model, held_out_slice, model_forward)
     ...  # serve under no_grad; dequantize(model) restores float
+    restore_activation_scales(reloaded, activation_scales(model))
+
+Every activation scale is fixed before the first request, so an output
+never depends on what else the process served; an uncalibrated
+:class:`QuantizedLinear` raises :class:`CalibrationError`.
 
 :func:`quantize_model` walks a module tree replacing every
 :class:`~repro.nn.layers.Linear` with a :class:`QuantizedLinear` wrapper
@@ -30,19 +33,24 @@ intact, so :func:`dequantize` is a pure structural undo.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from .layers import Linear
 from .module import Module, ModuleList
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, is_grad_enabled, no_grad
 
 __all__ = [
+    "CalibrationError",
     "QuantizedLinear",
     "quantize_model",
     "dequantize",
+    "set_serving_dtype",
     "calibration",
+    "quantize_for_inference",
+    "activation_scales",
+    "restore_activation_scales",
     "quantization_report",
 ]
 
@@ -54,6 +62,10 @@ _EPS = 1e-12
 # Module-wide GEMM-call counter, exported into telemetry by the core
 # predict paths (see ``quantization_report``).
 _GEMM_CALLS = 0
+
+
+class CalibrationError(ValueError):
+    """int8 serving was asked for without calibrated activation scales."""
 
 
 def quantize_activations(x32: np.ndarray, scale: float) -> np.ndarray:
@@ -71,8 +83,8 @@ class QuantizedLinear(Module):
     the ``(in, out)`` weight matrix), which costs nothing at GEMM time —
     the scales fold into the output elementwise multiply — and keeps
     channels with small dynamic range precise.  Activations use a single
-    per-tensor scale: the calibrated running max when a calibration pass
-    has run, otherwise the dynamic max of the batch at hand.
+    per-tensor scale, the running max recorded by a calibration pass;
+    serving before one has run raises :class:`CalibrationError`.
 
     The wrapped float layer stays on ``self.float_linear`` so parameter
     discovery, ``state_dict`` keys and ``load_state_dict`` behave as if
@@ -83,7 +95,7 @@ class QuantizedLinear(Module):
         super().__init__()
         self.float_linear = linear
         self.calibrating = False
-        #: Calibrated running max of activation magnitude (None = dynamic).
+        #: Calibrated running max of activation magnitude (None = not yet).
         self.act_amax: Optional[float] = None
         w = linear.weight.data
         scale = np.abs(w).max(axis=0) / _QMAX
@@ -105,14 +117,14 @@ class QuantizedLinear(Module):
     def named_parameters(self, prefix: str = ""):
         yield from self.float_linear.named_parameters(prefix=prefix)
 
-    def act_scale(self, x32: np.ndarray) -> float:
-        """Activation scale for this call: calibrated if frozen, else dynamic."""
-        amax = (
-            self.act_amax
-            if self.act_amax is not None
-            else float(np.abs(x32).max(initial=0.0))
-        )
-        return max(amax / _QMAX, _EPS)
+    def act_scale(self) -> float:
+        """The calibrated activation scale; raises if there is none."""
+        if self.act_amax is None:
+            raise CalibrationError(
+                "QuantizedLinear has no calibrated activation scale; "
+                "use quantize_for_inference or restore_activation_scales"
+            )
+        return max(self.act_amax / _QMAX, _EPS)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Quantized affine map on a raw array (float32 out)."""
@@ -122,7 +134,7 @@ class QuantizedLinear(Module):
             amax = float(np.abs(x32).max(initial=0.0))
             self.act_amax = max(self.act_amax or 0.0, amax)
             return self.float_linear.infer(x32)
-        scale = self.act_scale(x32)
+        scale = self.act_scale()
         x_q = quantize_activations(x32, scale)
         out = x_q @ self.weight_f32
         out *= np.float32(scale) * self.weight_scale
@@ -157,6 +169,15 @@ def _swap(parent: Module, make_replacement) -> int:
     return swapped
 
 
+def set_serving_dtype(model: Module, dtype) -> None:
+    """Run every ``TransformerEncoder`` in ``model`` in ``dtype`` at serving."""
+    from .attention import TransformerEncoder
+
+    for module in model.modules():
+        if isinstance(module, TransformerEncoder):
+            module.inference_dtype = dtype
+
+
 def quantize_model(model: Module) -> int:
     """Swap every ``Linear`` in ``model`` for a :class:`QuantizedLinear`.
 
@@ -165,14 +186,11 @@ def quantize_model(model: Module) -> int:
     the quantized GEMM dtype instead of paying float64 bandwidth.
     Returns the number of layers quantized; idempotent.
     """
-    from .attention import TransformerEncoder
-
+    set_serving_dtype(model, np.float32)
     count = 0
     for module in list(model.modules()):
         if isinstance(module, QuantizedLinear):
             continue
-        if isinstance(module, TransformerEncoder):
-            module.inference_dtype = np.float32
         count += _swap(
             module,
             lambda v: QuantizedLinear(v) if type(v) is Linear else None,
@@ -180,18 +198,15 @@ def quantize_model(model: Module) -> int:
     return count
 
 
-def dequantize(model: Module) -> int:
-    """Undo :func:`quantize_model`, restoring the original float layers."""
-    from .attention import TransformerEncoder
-
+def dequantize(model: Module, dtype=np.float64) -> int:
+    """Undo :func:`quantize_model`: the original float layers serve in ``dtype``."""
     count = 0
     for module in list(model.modules()):
-        if isinstance(module, TransformerEncoder):
-            module.inference_dtype = np.float64
         count += _swap(
             module,
             lambda v: v.float_linear if isinstance(v, QuantizedLinear) else None,
         )
+    set_serving_dtype(model, dtype)
     return count
 
 
@@ -212,6 +227,60 @@ def calibration(model: Module):
     finally:
         for layer in layers:
             layer.calibrating = False
+
+
+def quantize_for_inference(
+    model: Module, inputs: Sequence, forward: Callable[[list], object]
+) -> int:
+    """Quantize ``model`` and calibrate it once on held-out ``inputs``.
+
+    ``forward(inputs)`` is the model's serving forward over the whole set,
+    run in eval mode under ``no_grad`` while every quantized layer records
+    its activation range.  An empty set raises :class:`CalibrationError`.
+    Returns the number of layers quantized.
+    """
+    inputs = list(inputs)
+    if not inputs:
+        raise CalibrationError("int8 calibration needs a non-empty input set")
+    count = quantize_model(model)
+    model.eval()
+    with calibration(model), no_grad():
+        forward(inputs)
+    return count
+
+
+def _layers_by_weight(model: Module) -> Dict[str, QuantizedLinear]:
+    names = {id(param): name for name, param in model.named_parameters()}
+    return {
+        names[id(m.float_linear.weight)]: m
+        for m in model.modules()
+        if isinstance(m, QuantizedLinear)
+    }
+
+
+def activation_scales(model: Module) -> Optional[Dict[str, float]]:
+    """Each calibrated layer's ``act_amax``, keyed by its weight's
+    ``state_dict`` name; ``None`` when ``model`` holds no int8 layer."""
+    layers = _layers_by_weight(model)
+    if not layers:
+        return None
+    return {k: m.act_amax for k, m in layers.items() if m.act_amax is not None}
+
+
+def restore_activation_scales(model: Module, scales: Dict[str, float]) -> int:
+    """Quantize ``model`` with saved :func:`activation_scales`, without a
+    calibration pass; empty or unmatched scales raise
+    :class:`CalibrationError`.  Returns the number of layers quantized."""
+    if not scales:
+        raise CalibrationError("int8 model saved without activation scales")
+    count = quantize_model(model)
+    layers = _layers_by_weight(model)
+    unknown = sorted(set(scales) - set(layers))
+    if unknown:
+        raise CalibrationError(f"activation scales for unknown layers: {unknown}")
+    for name, amax in scales.items():
+        layers[name].act_amax = float(amax)
+    return count
 
 
 def quantization_report(model: Module) -> Dict[str, float]:

@@ -4,7 +4,9 @@ Deployment-shaped save/load for the two trained components: the block
 classifier (hierarchical encoder + BiLSTM/MLP/CRF head) and the NER tagger.
 Each artifact directory holds the vocabulary, a JSON config and an npz
 state dict, so a parser can be reconstructed without the training code
-path.
+path.  An int8 model also saves its calibrated activation scales in the
+JSON config, so loading re-enters int8 with the same scales and no
+calibration pass: a reloaded parser gives bit-identical output.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core.featurize import Featurizer
 from .core.hierarchical import HierarchicalEncoder
 from .docmodel.labels import BLOCK_SCHEME, ENTITY_SCHEME
 from .ner.model import NerConfig, NerTagger
+from .nn import quantize as nn_quantize
 from .nn.serialization import load_state, save_state
 from .pipeline import ResumeParser
 from .text.vocab import Vocab
@@ -39,9 +42,14 @@ __all__ = [
 _VOCAB_FILE = "vocab.json"
 _CONFIG_FILE = "config.json"
 _WEIGHTS_FILE = "weights.npz"
+#: Config key holding an int8 model's activation scales by weight name.
+_INT8_KEY = "int8_act_amax"
 
 
-def _write_config(directory: str, payload: dict) -> None:
+def _write_config(directory: str, model, payload: dict) -> None:
+    scales = nn_quantize.activation_scales(model)
+    if scales is not None:
+        payload[_INT8_KEY] = scales
     with open(os.path.join(directory, _CONFIG_FILE), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
 
@@ -57,6 +65,7 @@ def save_block_classifier(model: BlockClassifier, directory: str) -> None:
     model.featurizer.tokenizer.vocab.save(os.path.join(directory, _VOCAB_FILE))
     _write_config(
         directory,
+        model,
         {
             "kind": "block_classifier",
             "model_config": asdict(model.encoder.config),
@@ -84,6 +93,8 @@ def load_block_classifier(directory: str) -> BlockClassifier:
         rng=np.random.default_rng(0),
     )
     model.load_state_dict(load_state(os.path.join(directory, _WEIGHTS_FILE)))
+    if _INT8_KEY in payload:
+        nn_quantize.restore_activation_scales(model, payload[_INT8_KEY])
     return model
 
 
@@ -91,23 +102,10 @@ def save_ner_tagger(model: NerTagger, directory: str) -> None:
     """Persist an NER tagger (config + vocab + weights)."""
     os.makedirs(directory, exist_ok=True)
     model.featurizer.tokenizer.vocab.save(os.path.join(directory, _VOCAB_FILE))
-    config = model.config
     _write_config(
         directory,
-        {
-            "kind": "ner_tagger",
-            "model_config": {
-                "vocab_size": config.vocab_size,
-                "hidden_dim": config.hidden_dim,
-                "layers": config.layers,
-                "heads": config.heads,
-                "lstm_hidden": config.lstm_hidden,
-                "dropout": config.dropout,
-                "max_pieces": config.max_pieces,
-                "max_words": config.max_words,
-                "ffn_multiplier": config.ffn_multiplier,
-            },
-        },
+        model,
+        {"kind": "ner_tagger", "model_config": dict(vars(model.config))},
     )
     save_state(model.state_dict(), os.path.join(directory, _WEIGHTS_FILE))
 
@@ -124,6 +122,8 @@ def load_ner_tagger(directory: str) -> NerTagger:
         config, tokenizer, scheme=ENTITY_SCHEME, rng=np.random.default_rng(0)
     )
     model.load_state_dict(load_state(os.path.join(directory, _WEIGHTS_FILE)))
+    if _INT8_KEY in payload:
+        nn_quantize.restore_activation_scales(model, payload[_INT8_KEY])
     return model
 
 

@@ -125,31 +125,6 @@ class TestHazards:
         assert holds and holds[0]["site"] == "mod.slow:5"
         assert holds[0]["seconds"] >= 0.01
 
-    def test_acquire_while_holding_critical_lock_flagged(self):
-        audit = LockAudit(critical_patterns=("parallel.pool",))
-        pool_lock, metrics_lock = make_locks(
-            audit, "repro.parallel.pool:177", "repro.obs.metrics:61"
-        )
-        with pool_lock:
-            with metrics_lock:
-                pass
-        violations = audit.report()["critical_violations"]
-        assert violations
-        assert violations[0]["held"] == "repro.parallel.pool:177"
-        assert violations[0]["acquired"] == "repro.obs.metrics:61"
-
-    def test_reverse_direction_not_a_critical_violation(self):
-        # Taking the pool lock while holding a telemetry lock is the
-        # allowed direction (instrumented code calls into the pool).
-        audit = LockAudit(critical_patterns=("parallel.pool",))
-        pool_lock, metrics_lock = make_locks(
-            audit, "repro.parallel.pool:177", "repro.obs.metrics:61"
-        )
-        with metrics_lock:
-            with pool_lock:
-                pass
-        assert audit.report()["critical_violations"] == []
-
 
 class TestFactoryPatch:
     def test_module_filter(self):

@@ -219,7 +219,7 @@ class TestNerPredictOrder:
 
         config = NerConfig(
             vocab_size=len(tokenizer.vocab), hidden_dim=16, layers=1, heads=2,
-            lstm_hidden=8, dropout=0.0, inference_precision=precision,
+            lstm_hidden=8, dropout=0.0,
         )
         tagger = NerTagger(config, tokenizer, rng=np.random.default_rng(4))
         vocabulary = ["john", "doe", "python", "java", "paris", "engineer",

@@ -19,17 +19,24 @@ from repro.core import (
     Featurizer,
     HierarchicalEncoder,
     LabeledDocument,
+    ResuFormerConfig,
     collate_documents,
 )
+from repro.corpus import ContentConfig, ResumeGenerator, extract_block_examples
 from repro.docmodel import BLOCK_SCHEME
 from repro.eval import entity_prf
-from repro.nn import BiLstm, LinearChainCrf, no_grad
+from repro.ner import NerConfig, NerTagger
+from repro.nn import BiLstm, LinearChainCrf, TransformerEncoder, no_grad
+from repro.nn.quantize import quantization_report
 from repro.obs.compare import Gate, compare_summaries
 
 from ..helpers import masked_viterbi, per_direction_bilstm
 
 #: Relative entity-F1 the int8 path may lose versus float serving.
 F1_TOLERANCE = 0.05
+
+#: Held-out int8 calibration set, disjoint from every scored document.
+CALIBRATION = ResumeGenerator(seed=8, content_config=ContentConfig.tiny()).batch(2)
 
 
 def build_model(config, tokenizer):
@@ -57,10 +64,21 @@ def trained_state(config, tokenizer, tiny_docs):
 
 
 def load_model(config, tokenizer, trained_state, precision="float64"):
-    config = dataclasses.replace(config, inference_precision=precision)
+    """The trained model at ``precision``; int8 calibrates once, up front."""
+    float_precision = "float64" if precision == "int8" else precision
+    config = dataclasses.replace(config, inference_precision=float_precision)
     model = build_model(config, tokenizer)
     model.load_state_dict(trained_state)
+    if precision == "int8":
+        model.quantize_for_inference(CALIBRATION)
     return model
+
+
+def stack_dtypes(model):
+    return {
+        m.inference_dtype for m in model.modules()
+        if isinstance(m, TransformerEncoder)
+    }
 
 
 class TestFloat64Parity:
@@ -118,7 +136,7 @@ class TestInt8Parity:
 
         int8_model = load_model(config, tokenizer, trained_state, "int8")
         int8_labels = int8_model.predict_batch(tiny_docs)
-        assert int8_model._quantized
+        assert int8_model.precision == "int8"
 
         # Score the quantized labels against the float labels as
         # pseudo-gold, then hold the F1 to the same rel_decrease gate the
@@ -135,8 +153,8 @@ class TestInt8Parity:
         self, config, tokenizer, tiny_docs, trained_state
     ):
         model = load_model(config, tokenizer, trained_state, "int8")
-        # First call quantizes and calibrates on a slice of its input;
-        # from then on activation scales are frozen.
+        # Activation scales were fixed by the calibration pass, before
+        # any request: no call can move them.
         baseline = model.predict_batch(tiny_docs, batch_size=8)
         assert model.predict_batch(tiny_docs, batch_size=2) == baseline
         assert model.predict_batch(tiny_docs, batch_size=1) == baseline
@@ -151,13 +169,20 @@ class TestInt8Parity:
         model = load_model(config, tokenizer, trained_state, "int8")
         model.predict_batch(tiny_docs[:3])
         model.dequantize()
-        # Back on float weights (the config still says int8, but the
-        # explicit dequantize wins until the next lazy ensure re-quantizes,
-        # so compare emissions directly under float64 kernels).
-        model.encoder.config = dataclasses.replace(
-            model.encoder.config, inference_precision="float64"
-        )
+        assert model.precision == "float64"
+        assert stack_dtypes(model) == {np.float64}
         assert model.predict_batch(tiny_docs[:3]) == expected
+        assert quantization_report(model)["quantize.layers"] == 0
+
+    def test_empty_calibration_set_raises(
+        self, config, tokenizer, trained_state
+    ):
+        from repro.nn.quantize import CalibrationError
+
+        model = load_model(config, tokenizer, trained_state)
+        with pytest.raises(CalibrationError):
+            model.quantize_for_inference([])
+        assert model.precision == "float64"
 
 
 class TestFloat32Mode:
@@ -171,12 +196,59 @@ class TestFloat32Mode:
         score = entity_prf(float_labels, narrow_labels, BLOCK_SCHEME)
         assert score.f1 >= 1.0 - F1_TOLERANCE
 
+    def test_set_at_construction_and_restored_by_dequantize(
+        self, config, tokenizer, trained_state
+    ):
+        model = load_model(config, tokenizer, trained_state, "float32")
+        assert stack_dtypes(model) == {np.float32}
+        model.quantize_for_inference(CALIBRATION)
+        model.dequantize()
+        assert model.precision == "float32"
+        assert stack_dtypes(model) == {np.float32}
+
+
+class TestNoLazyQuantization:
+    """Serving never quantizes or calibrates: int8 is entered explicitly."""
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_predict_batch_leaves_float_model_float(
+        self, config, tokenizer, tiny_docs, trained_state, precision
+    ):
+        model = load_model(config, tokenizer, trained_state, precision)
+        model.predict_batch(tiny_docs[:2])
+        model.predict(tiny_docs[2])
+        assert quantization_report(model)["quantize.layers"] == 0
+        assert model.precision == precision
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_ner_predict_leaves_float_tagger_float(self, tokenizer, tiny_docs, precision):
+        tagger = NerTagger(
+            NerConfig(vocab_size=len(tokenizer.vocab), hidden_dim=16, layers=1,
+                      heads=2, lstm_hidden=8, dropout=0.0,
+                      inference_precision=precision),
+            tokenizer, rng=np.random.default_rng(4),
+        )
+        examples = extract_block_examples(tiny_docs[:2])
+        tagger.predict([])
+        tagger.predict(examples)
+        tagger.predict_probs(examples[:3])
+        assert quantization_report(tagger)["quantize.layers"] == 0
+        assert stack_dtypes(tagger) == {getattr(np, precision)}
+
+    def test_configs_reject_int8(self, tokenizer):
+        with pytest.raises(ValueError, match="quantize_for_inference"):
+            ResuFormerConfig(inference_precision="int8").validate()
+        with pytest.raises(ValueError, match="quantize_for_inference"):
+            NerConfig(vocab_size=len(tokenizer.vocab), inference_precision="int8")
+
 
 class TestServingTelemetry:
     def test_spans_counters_and_gauges_survive_fused_int8(
         self, config, tokenizer, tiny_docs, trained_state
     ):
         model = load_model(config, tokenizer, trained_state, "int8")
+        # Count serving lookups only, not the calibration pass's misses.
+        model.featurizer.cache.clear()
         session = obs.Telemetry()
         with obs.use_telemetry(session):
             model.predict_batch(tiny_docs, batch_size=4)

@@ -1,5 +1,7 @@
 """Round-trip tests for model persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,15 @@ from repro.core import (
     HierarchicalEncoder,
     ResuFormerConfig,
 )
-from repro.corpus import ContentConfig, ResumeGenerator, build_ner_corpus
+from repro.corpus import (
+    ContentConfig,
+    ResumeGenerator,
+    build_ner_corpus,
+    extract_block_examples,
+)
 from repro.ner import NerConfig, NerTagger
+from repro.nn import TransformerEncoder
+from repro.nn import quantize as nn_quantize
 from repro.persistence import (
     load_block_classifier,
     load_ner_tagger,
@@ -82,6 +91,23 @@ class TestNerTaggerPersistence:
         with pytest.raises(ValueError):
             load_ner_tagger(path)
 
+    def test_float32_tagger_reloads_as_float32(self, world, tmp_path):
+        docs, _, tagger = world
+        config = NerConfig(**{**vars(tagger.config), "inference_precision": "float32"})
+        narrow = NerTagger(config, tagger.featurizer.tokenizer)
+        narrow.load_state_dict(tagger.state_dict())
+        path = str(tmp_path / "ner32")
+        save_ner_tagger(narrow, path)
+        restored = load_ner_tagger(path)
+        assert vars(restored.config) == vars(narrow.config)
+        assert restored.precision == "float32"
+        assert {
+            m.inference_dtype for m in restored.modules()
+            if isinstance(m, TransformerEncoder)
+        } == {np.float32}
+        examples = extract_block_examples(docs)
+        assert restored.predict(examples) == narrow.predict(examples)
+
 
 class TestParserPersistence:
     def test_full_parser_roundtrip(self, world, tmp_path):
@@ -93,6 +119,46 @@ class TestParserPersistence:
         original = parser.parse(docs[1]).to_dict()
         reloaded = restored.parse(docs[1]).to_dict()
         assert original == reloaded
+
+    def test_int8_parser_reloads_bit_identically_without_calibrating(
+        self, world, tmp_path, monkeypatch
+    ):
+        docs, classifier, tagger = world
+        save_parser(ResumeParser(classifier, tagger), str(tmp_path / "float"))
+        parser = load_parser(str(tmp_path / "float"))  # a copy to quantize
+        calibration = [docs[0]]
+        parser.block_classifier.quantize_for_inference(calibration)
+        parser.ner_tagger.quantize_for_inference(extract_block_examples(calibration))
+        path = str(tmp_path / "int8")
+        save_parser(parser, path)
+
+        def no_calibration(model):
+            raise AssertionError("loading must not calibrate")
+
+        monkeypatch.setattr(nn_quantize, "calibration", no_calibration)
+        restored = load_parser(path)
+        for model in (restored.block_classifier, restored.ner_tagger):
+            assert model.precision == "int8"
+        assert nn_quantize.activation_scales(restored.block_classifier) == (
+            nn_quantize.activation_scales(parser.block_classifier)
+        )
+        before = [r.to_dict() for r in parser.parse_batch(docs)]
+        assert [r.to_dict() for r in restored.parse_batch(docs)] == before
+
+    def test_int8_artifact_without_scales_raises(self, world, tmp_path):
+        docs, classifier, _ = world
+        path = str(tmp_path / "clf")
+        save_block_classifier(classifier, path)
+        restored = load_block_classifier(path)
+        restored.quantize_for_inference([docs[0]])
+        save_block_classifier(restored, path)
+        config_file = tmp_path / "clf" / "config.json"
+        payload = json.loads(config_file.read_text())
+        assert payload["int8_act_amax"]
+        payload["int8_act_amax"] = {}
+        config_file.write_text(json.dumps(payload))
+        with pytest.raises(nn_quantize.CalibrationError):
+            load_block_classifier(path)
 
     def test_parser_without_ner(self, world, tmp_path):
         docs, classifier, _ = world

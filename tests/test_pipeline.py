@@ -178,6 +178,23 @@ class TestBatchInvariance:
         assert reversed_[::-1] == alone
         assert any(b["entities"] for r in alone for b in r["blocks"])
 
+    def test_int8_output_independent_of_what_was_served_first(
+        self, world, mixed_batch
+    ):
+        # Two int8 parsers with the same weights and the same calibration
+        # slice, warmed on different batches, parse a document alike.
+        docs, classifier, tagger = world
+        calibration = [docs[4], docs[5]]
+        parsed = []
+        for warmup in (mixed_batch[:4], mixed_batch[3:7]):
+            twin_classifier, twin_tagger = _twin(classifier, tagger)
+            twin_classifier.quantize_for_inference(calibration)
+            twin_tagger.quantize_for_inference(extract_block_examples(calibration))
+            parser = ResumeParser(twin_classifier, twin_tagger)
+            parser.parse_batch(warmup)
+            parsed.append(parser.parse(mixed_batch[7]).to_dict())
+        assert parsed[0] == parsed[1]
+
     def test_blocks_and_spans_are_well_formed(self, world, mixed_batch):
         docs, classifier, tagger = world
         for document, parsed in zip(
