@@ -92,6 +92,6 @@ baseline:
 	PYTHONPATH=src python -m repro.obs.report $(BASELINE)
 
 clean:
-	rm -rf .pytest_cache .benchmarks .hypothesis benchmarks/results
+	rm -rf .pytest_cache .benchmarks .hypothesis benchmarks/results .bench_build
 	rm -f run_telemetry.jsonl obs_gate_diff.json lock_audit_report.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

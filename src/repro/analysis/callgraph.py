@@ -154,24 +154,13 @@ class CallGraph:
 
     def __init__(self) -> None:
         self._modules: Dict[str, _ModuleIndex] = {}
-        #: def-node id -> FunctionInfo, for locating the enclosing function.
-        self._by_node: Dict[int, FunctionInfo] = {}
 
     # -- construction ---------------------------------------------------
     def add_module(self, module: str, tree: ast.Module, path: str) -> None:
-        index = _ModuleIndex(module, tree, path)
-        self._modules[module] = index
-        for info in index.functions.values():
-            self._by_node[id(info.node)] = info
-        for info in index.methods.values():
-            self._by_node[id(info.node)] = info
+        self._modules[module] = _ModuleIndex(module, tree, path)
 
     def modules(self) -> List[str]:
         return sorted(self._modules)
-
-    def function_for_node(self, node: ast.AST) -> Optional[FunctionInfo]:
-        """The indexed function a ``FunctionDef`` node belongs to."""
-        return self._by_node.get(id(node))
 
     # -- resolution -----------------------------------------------------
     def _method(self, module: str, cls: str, name: str) -> Optional[FunctionInfo]:

@@ -16,7 +16,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,10 @@ from ..docmodel.geometry import LAYOUT_SCALE, BBox
 from ..text.wordpiece import WordPieceTokenizer
 from .config import ResuFormerConfig
 
-__all__ = ["DocumentFeatures", "FeatureCache", "Featurizer", "LAYOUT_FEATURES"]
+__all__ = [
+    "DocumentFeatures", "FeatureCache", "Featurizer", "IdentityCache",
+    "LAYOUT_FEATURES",
+]
 
 #: Order of the per-token/per-sentence layout features.
 LAYOUT_FEATURES = ("x_min", "y_min", "x_max", "y_max", "width", "height", "page")
@@ -40,15 +43,12 @@ _LIVE_CACHES: "weakref.WeakSet" = weakref.WeakSet()
 
 
 def _clear_caches_after_fork() -> None:
-    """Empty every inherited cache in a freshly forked child.
+    """Empty every inherited cache (stats kept) in a freshly forked child.
 
     Cache keys are parent-process object identities; in the child they
     alias whatever the child's allocator later places at those addresses,
     so an inherited entry could serve a *stale hit* for a different
-    document.  Clearing on fork (stats preserved — the child continues
-    the parent's counters) makes identity keying per-process by
-    construction.  Spawned processes never inherit caches and are
-    unaffected; the guard exists for ``fork``-start users.
+    document.  Spawned processes never inherit caches.
     """
     for cache in list(_LIVE_CACHES):
         # The fork may have happened while another parent thread held the
@@ -85,39 +85,88 @@ class DocumentFeatures:
         return self.token_ids.shape[1]
 
 
-class FeatureCache:
-    """LRU cache of :class:`DocumentFeatures` keyed by document identity.
+class IdentityCache:
+    """LRU map from live objects to values, keyed by object identity.
 
-    Keys are object identities guarded by a weak reference: a recycled
-    ``id()`` from a garbage-collected document can never alias a live entry.
+    Each entry holds a weak reference to its object, so a recycled ``id()``
+    never aliases a live entry, and an entry lasts only as long as its
+    object.  The reference's callback only queues the dead reference: it
+    can fire in a garbage-collection pass inside a caller's critical
+    section, so it touches neither the entries nor a lock.  :meth:`get`,
+    :meth:`store` and ``len()`` purge the queue first, deleting an entry
+    only if it still holds that reference (ids are recycled).  Not
+    thread-safe on its own; :class:`FeatureCache` adds the lock.  ``key in
+    cache`` asks, for introspection, whether a live entry sits at a raw id.
+    """
+
+    def __init__(self, maxsize: int):
+        if maxsize <= 0:
+            raise ValueError("cache maxsize must be positive")
+        self.maxsize = maxsize
+        self.evictions = 0
+        self.expirations = 0
+        self._entries: "OrderedDict[int, Tuple[weakref.KeyedRef, Any]]" = OrderedDict()
+        self._pending: List[weakref.KeyedRef] = []
+
+    def _purge(self) -> None:
+        while self._pending:
+            ref = self._pending.pop()
+            if self._entries.get(ref.key, (None,))[0] is ref:
+                del self._entries[ref.key]
+                self.expirations += 1
+
+    def get(self, obj: Any) -> Tuple[bool, Any]:
+        """``(found, value)``; ``value`` may legitimately be None."""
+        self._purge()
+        ref, value = self._entries.get(id(obj), (None, None))
+        if ref is None or ref() is not obj:
+            return False, None
+        self._entries.move_to_end(id(obj))
+        return True, value
+
+    def store(self, obj: Any, value: Any) -> None:
+        self._purge()
+        key = id(obj)
+        self._entries[key] = (weakref.KeyedRef(obj, self._pending.append, key), value)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def __len__(self) -> int:
+        self._purge()
+        return len(self._entries)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._entries and self._entries[key][0]() is not None
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self._pending.clear()
+
+
+class FeatureCache(IdentityCache):
+    """Thread-safe :class:`IdentityCache` of :class:`DocumentFeatures`.
+
     Features are deterministic for a given document object, so repeated
     ``predict`` calls and per-epoch validation sweeps hit instead of
     re-running WordPiece tokenisation and layout bucketing.
 
-    **Caches are strictly per-process.**  Identity keys are meaningless in
-    any other process (same integer, different object), and the weakref
-    guard cannot help because a forked child's aliases are *live* objects.
-    Every cache therefore clears itself in a forked child
-    (``os.register_at_fork``, entries dropped, stats kept).
+    **Caches are strictly per-process**: identity keys mean nothing in
+    another process, so every cache clears itself (entries and queued
+    references, stats kept) in a forked child.
 
-    When a :mod:`repro.obs` telemetry session is active, every hit, miss
-    and LRU eviction also increments the session counters
-    ``feature_cache.hits`` / ``feature_cache.misses`` /
-    ``feature_cache.evictions``, and each lookup refreshes the live
-    ``feature_cache.hit_rate`` gauge — alert rules can watch the rate
-    mid-run instead of waiting for :meth:`export_metrics`.
+    In a :mod:`repro.obs` telemetry session every hit, miss, LRU eviction
+    and expiration (a document that died) increments the counter
+    ``feature_cache.hits`` / ``.misses`` / ``.evictions`` / ``.expirations``
+    and each lookup sets the ``feature_cache.hit_rate`` gauge.  Evictions
+    say the cache is too small; expirations, that documents are transient.
     """
 
     def __init__(self, maxsize: int = 256):
-        if maxsize <= 0:
-            raise ValueError("cache maxsize must be positive")
-        self.maxsize = maxsize
+        super().__init__(maxsize)
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[int, Tuple[weakref.ref, DocumentFeatures]]" = (
-            OrderedDict()
-        )
         # Entries and counters are mutated under this lock (concurrent
         # predict() calls share one cache); telemetry publishing happens
         # after release so a metrics lock is never taken while holding it.
@@ -125,7 +174,7 @@ class FeatureCache:
         _LIVE_CACHES.add(self)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.info()["size"]
 
     @property
     def hit_rate(self) -> float:
@@ -135,78 +184,68 @@ class FeatureCache:
 
     def lookup(self, document: ResumeDocument) -> Optional[DocumentFeatures]:
         """Return cached features for ``document``, or None (counts a miss)."""
-        features: Optional[DocumentFeatures] = None
         with self._lock:
-            entry = self._entries.get(id(document))
-            if entry is not None:
-                ref, cached = entry
-                if ref() is document:
-                    self._entries.move_to_end(id(document))
-                    self.hits += 1
-                    features = cached
-                else:
-                    del self._entries[id(document)]
-            if features is None:
-                self.misses += 1
-            hit_rate = self.hit_rate
-        telemetry = obs.get_telemetry()
-        if telemetry is not None:
-            counter = (
-                "feature_cache.hits" if features is not None
-                else "feature_cache.misses"
-            )
-            telemetry.metrics.counter(counter).inc()
-            telemetry.metrics.gauge("feature_cache.hit_rate").set(hit_rate)
+            expired = self.expirations
+            found, features = self.get(document)
+            self.hits += found
+            self.misses += not found
+            hit_rate, expired = self.hit_rate, self.expirations - expired
+        _publish({"hits" if found else "misses": 1, "expirations": expired}, hit_rate)
         return features
 
     def store(self, document: ResumeDocument, features: DocumentFeatures) -> None:
-        evicted = 0
         with self._lock:
-            self._entries[id(document)] = (weakref.ref(document), features)
-            self._entries.move_to_end(id(document))
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                evicted += 1
-        if evicted:
-            telemetry = obs.get_telemetry()
-            if telemetry is not None:
-                telemetry.metrics.counter("feature_cache.evictions").inc(evicted)
+            evicted, expired = self.evictions, self.expirations
+            super().store(document, features)
+            evicted, expired = self.evictions - evicted, self.expirations - expired
+        _publish({"evictions": evicted, "expirations": expired})
 
     def clear(self, preserve_stats: bool = False) -> None:
         """Drop every entry; ``preserve_stats=True`` keeps the cumulative
-        hit/miss/eviction counters (long-running services clear entries to
-        release memory without losing their lifetime totals)."""
+        counters (long-running services clear entries to release memory
+        without losing their lifetime totals)."""
         with self._lock:
-            self._entries.clear()
+            super().clear()
             if not preserve_stats:
-                self.hits = 0
-                self.misses = 0
-                self.evictions = 0
+                self.hits = self.misses = self.evictions = self.expirations = 0
 
     def info(self) -> Dict[str, int]:
         """Counters for tests and the profiling report."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-        }
+        with self._lock:
+            expired = self.expirations
+            info = {
+                "size": super().__len__(),  # purges first
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "expired": self.expirations,
+                "hit_rate": self.hit_rate,
+                "maxsize": self.maxsize,
+            }
+        _publish({"expirations": info["expired"] - expired})
+        return info
 
     def export_metrics(self, registry) -> None:
-        """Publish the cumulative counters as gauges on ``registry``.
+        """Publish the lifetime counters as gauges on ``registry`` (the
+        session counters above only cover calls made while it was active)."""
+        info = self.info()
+        for key in ("size", "hit_rate"):
+            registry.gauge(f"feature_cache.{key}").set(info[key])
+        for key in ("hits", "misses", "evictions", "expired"):
+            registry.gauge(f"feature_cache.total_{key}").set(info[key])
 
-        The incremental counters above only cover lookups made while a
-        session was active; this pushes the lifetime totals (e.g. at
-        snapshot time) for caches that predate the session.
-        """
-        registry.gauge("feature_cache.size").set(len(self._entries))
-        registry.gauge("feature_cache.hit_rate").set(self.hit_rate)
-        registry.gauge("feature_cache.total_hits").set(self.hits)
-        registry.gauge("feature_cache.total_misses").set(self.misses)
-        registry.gauge("feature_cache.total_evictions").set(self.evictions)
+
+def _publish(counts: Dict[str, int], hit_rate: Optional[float] = None) -> None:
+    """Add ``counts`` to the session's ``feature_cache.*`` counters and set
+    the hit-rate gauge (called with no cache lock held)."""
+    telemetry = obs.get_telemetry()
+    if telemetry is None:
+        return
+    for name, count in counts.items():
+        if count:
+            telemetry.metrics.counter(f"feature_cache.{name}").inc(count)
+    if hit_rate is not None:
+        telemetry.metrics.gauge("feature_cache.hit_rate").set(hit_rate)
 
 
 class Featurizer:

@@ -23,8 +23,6 @@ remain as the reference implementations the parity tests compare against.
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -38,7 +36,7 @@ from ..nn.functional import cross_entropy, log_softmax, masked_fill
 from ..text.vocab import SPECIAL_TOKENS
 from .batching import DocumentBatch, collate_documents
 from .config import ResuFormerConfig
-from .featurize import DocumentFeatures, Featurizer
+from .featurize import DocumentFeatures, Featurizer, IdentityCache
 from .hierarchical import HierarchicalEncoder
 from .training import GradAccumulator, iter_minibatches
 
@@ -109,58 +107,6 @@ def masked_copy(
     return corrupted, selected
 
 
-class _StaticSlotCache:
-    """Frozen sentence-mask slots per document, keyed by feature identity.
-
-    Mirrors :class:`~repro.core.featurize.FeatureCache`: entries are
-    guarded by a weak reference so a recycled ``id()`` from garbage-
-    collected features can never alias a live entry, and an LRU bound keeps
-    the cache from growing with the corpus.  Supports ``key in cache`` /
-    ``cache[key]`` on raw ``id()`` values for introspection.
-    """
-
-    def __init__(self, maxsize: int = 1024):
-        if maxsize <= 0:
-            raise ValueError("cache maxsize must be positive")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[int, Tuple[weakref.ref, Optional[np.ndarray]]]" = (
-            OrderedDict()
-        )
-
-    def get(self, features: DocumentFeatures) -> Tuple[bool, Optional[np.ndarray]]:
-        """``(found, slots)`` — ``slots`` may legitimately be None."""
-        key = id(features)
-        entry = self._entries.get(key)
-        if entry is not None:
-            ref, slots = entry
-            if ref() is features:
-                self._entries.move_to_end(key)
-                return True, slots
-            del self._entries[key]
-        return False, None
-
-    def store(
-        self, features: DocumentFeatures, slots: Optional[np.ndarray]
-    ) -> None:
-        self._entries[id(features)] = (weakref.ref(features), slots)
-        self._entries.move_to_end(id(features))
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: int) -> bool:
-        entry = self._entries.get(key)
-        return entry is not None and entry[0]() is not None
-
-    def __getitem__(self, key: int) -> Optional[np.ndarray]:
-        return self._entries[key][1]
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
 class Pretrainer:
     """Drives Eq. 7 over an unlabeled document corpus."""
 
@@ -184,7 +130,8 @@ class Pretrainer:
         #: static masking; False freezes each document's masked slots for
         #: the ablation bench.
         self.dynamic_sentence_masking = dynamic_sentence_masking
-        self._static_slots = _StaticSlotCache()
+        #: Frozen slots per feature bundle, dropped when the bundle dies.
+        self._static_slots = IdentityCache(maxsize=1024)
         vocab = featurizer.tokenizer.vocab
         #: First id eligible as a random MLLM replacement — one past the
         #: highest special-token id, derived from the vocabulary itself.

@@ -504,16 +504,6 @@ class AlertEngine:
             self._rules_for[series] = cached
         return cached
 
-    def _observe(
-        self,
-        series: str,
-        value: float,
-        step: Optional[int] = None,
-        phase: Optional[str] = None,
-    ) -> List[Alert]:
-        with self._lock:
-            return self._observe_unlocked(series, value, step, phase)
-
     def _observe_unlocked(
         self,
         series: str,

@@ -1,19 +1,41 @@
-"""FeatureCache process discipline: per-process entries, fork guard.
+"""FeatureCache process discipline: per-process entries, fork guard,
+and entries that die with their documents.
 
 The cache keys on ``id(document)``, which is only meaningful inside one
 process, so a cache is never shipped across a process boundary, and a
 module-level ``os.register_at_fork`` guard clears any live cache in a
 forked child so stale identity keys can never alias a new object at a
-recycled address.
+recycled address.  Within a process, an entry lasts only as long as its
+document: the next cache call after the document dies drops it.
 """
 
+import gc
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.core import BlockClassifier, HierarchicalEncoder
 from repro.core.featurize import _clear_caches_after_fork, FeatureCache, Featurizer
+from repro.corpus import ContentConfig, ResumeGenerator
+from repro.ner import NerConfig, NerTagger
+from repro.pipeline import ResumeParser
+
+
+class _Doc:
+    """A weak-referenceable stand-in document (``__dict__`` allows cycles)."""
+
+
+def _recycled(key):
+    """A fresh ``_Doc`` allocated at ``id() == key``, or None."""
+    candidates = []
+    for _ in range(1000):
+        candidates.append(_Doc())
+        if id(candidates[-1]) == key:
+            return candidates[-1]
+    return None
 
 
 class TestPerProcessSemantics:
@@ -147,3 +169,100 @@ class TestHitRateGauges:
         assert Featurizer(tokenizer, config, cache_size=0).cache is None
         with pytest.raises(ValueError):
             FeatureCache(0)
+
+
+class TestLifecycle:
+    """An entry is dropped once its document is garbage-collected."""
+
+    def test_entry_dies_with_its_document(self):
+        with obs.telemetry() as tel:
+            cache = FeatureCache(maxsize=4)
+            kept, doc = _Doc(), _Doc()
+            cache.store(kept, "kept")
+            cache.store(doc, "doc")
+            del doc
+            gc.collect()
+            assert len(cache) == 1
+            assert cache.lookup(kept) == "kept"
+            info = cache.info()
+            assert (info["expired"], info["evictions"], info["size"]) == (1, 0, 1)
+            assert tel.metrics.counter("feature_cache.expirations").value() == 1
+            cache.export_metrics(tel.metrics)
+            assert tel.metrics.gauge("feature_cache.total_expired").value() == 1
+        cache.clear()
+        assert cache.info()["expired"] == 0
+
+    def test_recycled_id_keeps_the_live_entry(self):
+        cache = FeatureCache(maxsize=4)
+        dead = _Doc()
+        key = id(dead)
+        cache.store(dead, "dead")
+        stale_ref = cache._entries[key][0]
+        del dead  # queued, not yet purged
+        live = _recycled(key)
+        if live is None:
+            pytest.skip("allocator did not reuse the address")
+        assert cache.lookup(live) is None  # never served the dead bundle
+        cache.store(live, "live")
+        # A late notification for the dead reference must not drop the
+        # entry that now lives at the same key.
+        cache._pending.append(stale_ref)
+        assert len(cache) == 1
+        assert cache.lookup(live) == "live"
+        assert cache.info()["expired"] == 1
+
+    def test_cycle_collected_inside_store_does_not_deadlock(self):
+        class CollectOnRelease:
+            # Evicted under the store lock: its finaliser runs a GC pass
+            # there, which collects the cyclic document below.
+            def __del__(self):
+                gc.collect()
+
+        cache = FeatureCache(maxsize=2)
+        holder, cyclic, newcomer = _Doc(), _Doc(), _Doc()
+        cyclic.loop = cyclic
+        gc.disable()
+        try:
+            cache.store(holder, CollectOnRelease())
+            cache.store(cyclic, "cyclic")
+            del cyclic
+            worker = threading.Thread(
+                target=cache.store, args=(newcomer, "newcomer"), daemon=True
+            )
+            worker.start()
+            worker.join(timeout=30)
+        finally:
+            gc.enable()
+        assert not worker.is_alive(), "store deadlocked on a GC-time callback"
+        assert len(cache) == 1
+        info = cache.info()
+        assert (info["evictions"], info["expired"]) == (1, 1)
+        assert cache.lookup(newcomer) == "newcomer"
+
+    def test_fork_guard_clears_pending_references(self):
+        cache = FeatureCache(maxsize=4)
+        doc = _Doc()
+        cache.store(doc, "doc")
+        del doc
+        assert len(cache._pending) == 1
+        _clear_caches_after_fork()
+        assert cache._pending == []
+        assert len(cache) == 0
+
+    def test_parse_stream_keeps_only_live_documents(self, tokenizer, config):
+        featurizer = Featurizer(tokenizer, config)
+        classifier = BlockClassifier(
+            HierarchicalEncoder(config, rng=np.random.default_rng(1)),
+            featurizer, lstm_hidden=16, rng=np.random.default_rng(2),
+        )
+        tagger = NerTagger(
+            NerConfig(vocab_size=len(tokenizer.vocab), hidden_dim=32, layers=1,
+                      heads=2, lstm_hidden=16, dropout=0.0),
+            tokenizer, rng=np.random.default_rng(3),
+        )
+        parser = ResumeParser(classifier, tagger)
+        generator = ResumeGenerator(seed=31, content_config=ContentConfig.tiny())
+        for index in range(30):
+            parser.parse(generator.generate_at(index))
+        assert len(featurizer.cache) <= 1
+        assert featurizer.cache.info()["expired"] >= 29

@@ -139,7 +139,8 @@ class TestPretrainStep:
         features = featurizer.featurize(tiny_docs[0])
         first = pre.scl_pairs(features)
         second = pre.scl_pairs(features)
-        slots = pre._static_slots[id(features)]
+        found, slots = pre._static_slots.get(features)
+        assert found
         assert slots is not None
         np.testing.assert_array_equal(
             first[0].shape, second[0].shape

@@ -9,6 +9,7 @@ the engine mechanics (gradient accumulation, weighted windows) and the
 static-slot cache's weakref guard.
 """
 
+import dataclasses
 import gc
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from repro.core import (
     BlockClassifier,
     BlockTrainer,
+    Featurizer,
     GradAccumulator,
     LabeledDocument,
     Pretrainer,
@@ -393,6 +395,68 @@ class TestStaticSlotCache:
         assert len(pre._static_slots) == 2
         assert id(kept[0]) not in pre._static_slots
         assert id(kept[2]) in pre._static_slots
+
+    @pytest.fixture()
+    def uncached(self, tokenizer, config):
+        # Without a feature cache, a bundle lives only as long as the test
+        # holds it.
+        return Featurizer(tokenizer, config, cache_size=0)
+
+    def test_entry_dies_with_its_features(self, encoder, uncached, tiny_docs):
+        pre = Pretrainer(encoder, uncached, seed=0, dynamic_sentence_masking=False)
+        kept = uncached.featurize(tiny_docs[0])
+        pre._slots_for(kept)
+        pre._slots_for(uncached.featurize(tiny_docs[1]))  # dies on return
+        gc.collect()
+        assert len(pre._static_slots) == 1
+        assert pre._static_slots.expirations == 1
+        assert id(kept) in pre._static_slots
+
+    def test_recycled_id_keeps_the_live_entry(self, encoder, uncached, tiny_docs):
+        pre = Pretrainer(encoder, uncached, seed=0, dynamic_sentence_masking=False)
+        template = uncached.featurize(tiny_docs[0])
+        dead = dataclasses.replace(template)
+        key = id(dead)
+        pre._slots_for(dead)
+        stale_ref = pre._static_slots._entries[key][0]
+        del dead  # queued, not yet purged
+        candidates = []
+        for _ in range(50):
+            candidates.append(dataclasses.replace(template))
+            if id(candidates[-1]) == key:
+                break
+        else:
+            pytest.skip("allocator did not reuse the address")
+        live = candidates[-1]
+        assert pre._static_slots.get(live) == (False, None)
+        pre._static_slots.store(live, "live")
+        pre._static_slots._pending.append(stale_ref)  # a late notification
+        assert len(pre._static_slots) == 1
+        assert pre._static_slots.get(live) == (True, "live")
+
+    def test_cycle_collected_inside_store(self, encoder, uncached, tiny_docs):
+        class CollectOnRelease:
+            # Evicted inside store: its finaliser runs a GC pass there,
+            # which collects the cyclic bundle below mid-update.
+            def __del__(self):
+                gc.collect()
+
+        pre = Pretrainer(encoder, uncached, seed=0, dynamic_sentence_masking=False)
+        pre._static_slots.maxsize = 2
+        holder, cyclic, newcomer = (uncached.featurize(d) for d in tiny_docs[:3])
+        cyclic.loop = cyclic
+        gc.disable()
+        try:
+            pre._static_slots.store(holder, CollectOnRelease())
+            pre._static_slots.store(cyclic, None)
+            del cyclic
+            pre._static_slots.store(newcomer, None)
+        finally:
+            gc.enable()
+        assert len(pre._static_slots) == 1
+        assert pre._static_slots.evictions == 1
+        assert pre._static_slots.expirations == 1
+        assert pre._static_slots.get(newcomer) == (True, None)
 
 
 class TestGradAccumulator:
