@@ -1,6 +1,6 @@
 # Common development targets.
 
-.PHONY: install test lint lock-audit gradcheck bench bench-perf bench-train bench-quant bench-history examples report compare baseline clean
+.PHONY: install test lint lock-audit gradcheck bench bench-perf bench-train bench-quant examples report compare baseline clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -46,13 +46,6 @@ bench-train:
 bench-quant:
 	python -m pytest benchmarks/test_perf_quantized.py -q -s
 
-# Benchmark trajectory gate: render the committed perf history and exit 1
-# when any bench's latest full record regresses against the trailing
-# median (this is the last step of the CI obs-smoke job).
-bench-history:
-	PYTHONPATH=src python -m repro.obs.bench_history
-	PYTHONPATH=src python -m repro.obs.bench_history --check
-
 examples:
 	python examples/quickstart.py
 	python examples/pretraining_objectives.py
@@ -69,15 +62,16 @@ report:
 	PYTHONPATH=src python -m repro.obs.report $(RUN)
 
 # Regression gate: diff a fresh instrumented run against the committed
-# baseline log.  --no-timing because the baseline ran on another machine;
-# exits non-zero on a loss or validation regression (this is the CI
-# obs-gate).  Override the candidate with RUN=..., the baseline with
-# BASELINE=...
+# baseline log.  Only dimensionless series are gated, so the baseline may
+# come from another machine; exits non-zero on a loss or validation
+# regression, or on a run log without run_end (CI's obs-smoke job runs the
+# same gate with a looser loss tolerance).  Override the candidate with
+# RUN=..., the baseline with BASELINE=...
 BASELINE ?= baselines/run_telemetry_baseline.jsonl
 compare:
 	@test -f $(RUN) || PYTHONPATH=src python examples/telemetry_run.py $(RUN)
 	PYTHONPATH=src python -m repro.obs.compare $(BASELINE) $(RUN) \
-		--no-timing --require-complete --json-out obs_gate_diff.json
+		--json-out obs_gate_diff.json
 
 # Refresh the committed baseline after an intentional training change.
 baseline:

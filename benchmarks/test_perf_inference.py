@@ -176,7 +176,7 @@ def test_batched_inference_speedup():
     }
     model.featurizer.cache.export_metrics(session.metrics)
     report["telemetry"] = session.summary()
-    obs.write_bench_report(REPORT_PATH, report)
+    obs.write_json(REPORT_PATH, report)
     print(
         f"\nper-resume latency: predict p50={single.p50 * 1e3:.1f}ms "
         f"p95={single.p95 * 1e3:.1f}ms | predict_batch "

@@ -136,7 +136,7 @@ def test_quantized_parity_and_speedup():
         "int8_vs_float_speedup": speedup,
         "parity_gate": gate,
     }
-    obs.write_bench_report(REPORT_PATH, report)
+    obs.write_json(REPORT_PATH, report)
     print(
         f"\nblock F1 vs gold: float {float_score.f1:.3f} | int8 "
         f"{int8_score.f1:.3f} | int8/float label agreement "

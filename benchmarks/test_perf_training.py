@@ -288,7 +288,7 @@ def test_batched_training_speedup():
         },
         "telemetry": session.summary(),
     }
-    obs.write_bench_report(REPORT_PATH, report)
+    obs.write_json(REPORT_PATH, report)
     print(
         f"\nblock training: per-doc p50={single.p50 * 1e3:.1f}ms/doc, batched "
         f"p50={batched.p50 * 1e3:.1f}ms/doc | speedup {speedup:.2f}x | "

@@ -12,7 +12,7 @@ Render or gate the log afterwards with::
 
     python -m repro.obs.report run_telemetry.jsonl
     python -m repro.obs.compare baselines/run_telemetry_baseline.jsonl \
-        run_telemetry.jsonl --no-timing
+        run_telemetry.jsonl
 
 ``--epochs`` shrinks or grows the fine-tuning run (CI uses 2).
 ``--profile-hz`` arms the continuous sampling profiler (``profile``

@@ -3,8 +3,7 @@
 Three pillars, bundled into a :class:`Telemetry` session:
 
 * :class:`MetricsRegistry` — labeled :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` / :class:`Timer` series with snapshot/reset semantics
-  and JSONL export.
+  :class:`Histogram` / :class:`Timer` series with snapshot/reset semantics.
 * :class:`Tracer` — nested wall-time spans (monotonic clock, parent ids,
   attributes, exception-safe) plus the :func:`trace` context manager and
   :func:`traced` decorator.
@@ -70,7 +69,6 @@ __all__ = [
     "read_run_log",
     "tail_events",
     "write_json",
-    "write_bench_report",
     "Profiler",
     "DEFAULT_PROFILE_HZ",
     "Telemetry",
@@ -79,20 +77,7 @@ __all__ = [
     "get_telemetry",
     "trace",
     "traced",
-    "emit",
 ]
-
-
-def write_bench_report(path, payload, history_dir=None) -> None:
-    """Write a ``BENCH_*.json`` report and append its trajectory record.
-
-    Thin lazy re-export of :func:`repro.obs.bench_history.write_bench_report`
-    (imported on first use so ``python -m repro.obs.bench_history`` never
-    double-imports the module).
-    """
-    from .bench_history import write_bench_report as _write
-
-    _write(path, payload, history_dir=history_dir)
 
 
 class Telemetry:
@@ -262,9 +247,3 @@ def traced(name: Optional[str] = None):
 
     return decorate
 
-
-def emit(kind: str, **fields) -> None:
-    """Send one run-log event through the active session; no-op without one."""
-    session = _ACTIVE.get()
-    if session is not None:
-        session.event(kind, **fields)

@@ -8,29 +8,21 @@ two summaries, and gates the deltas against configurable tolerances::
     python -m repro.obs.compare baseline.jsonl candidate.jsonl
 
 exits ``0`` when every gate holds, ``1`` on any regression (CI fails the
-build), ``2`` on unreadable inputs.  The default gates fail a candidate
-whose final loss worsened by more than 5% or whose mean step time grew
-beyond 1.5x — so an injected 10% loss regression or 2x slowdown always
-trips them, while identical logs always pass.
+build), ``2`` on unreadable inputs.  The default gates are dimensionless,
+so a baseline recorded on another machine gates as well as a local one:
+a final loss may worsen by at most 5% and a best validation score may
+fall by at most 5%.  Wall-clock series are summarized and shown but
+never gated.  A candidate run log without ``run_end`` (a crashed or
+truncated run) always fails; its surviving series are still diffed.
 
 Options:
 
-``--json`` / ``--json-out PATH``
-    Machine-readable diff (the same structure ``repro.obs.report --json``
-    builds its ``summary`` section from) to stdout or a file.
-``--no-timing``
-    Drop wall-clock gates — the right call when baseline and candidate
-    ran on different machines (CI runners vs. a committed baseline).
+``--json-out PATH``
+    Also write the machine-readable diff (the same structure
+    ``repro.obs.report --json`` builds its ``summary`` section from).
 ``--tolerance PATTERN=VALUE`` (repeatable)
     Override the tolerance of every default gate whose pattern matches,
     or add a ``rel_increase`` gate for a new pattern.
-``--require-complete``
-    A candidate log without ``run_end`` (crashed / truncated run) counts
-    as a regression instead of a warning.
-
-Truncated or crashed logs still summarize — every series observed before
-the crash participates in the diff, and the missing ``run_end`` is
-reported rather than raised.
 
 Like :mod:`repro.obs.report`, this module reads plain dicts and never
 imports the model stack.
@@ -57,11 +49,6 @@ __all__ = [
     "render_text",
     "run_summary",
 ]
-
-#: Series whose baseline value is below this are never timing-gated —
-#: micro-timings are all noise.
-_TIMING_FLOOR_SECONDS = 1e-4
-
 
 def _percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile of raw values (q in [0, 100])."""
@@ -226,26 +213,18 @@ class Gate:
 
     ``kind``: ``rel_increase`` fails when the candidate exceeds the
     baseline by more than ``tolerance`` relative (lower-is-better
-    series); ``ratio`` fails when ``candidate / baseline`` exceeds
-    ``tolerance`` (wall-clock series); ``rel_decrease`` fails when the
-    candidate *falls* more than ``tolerance`` relative (higher-is-better
-    series).  ``timing`` gates are dropped by ``--no-timing``.
+    series); ``rel_decrease`` fails when the candidate *falls* more than
+    ``tolerance`` relative (higher-is-better series).
     """
 
     pattern: str
     tolerance: float
     kind: str = "rel_increase"
-    timing: bool = False
 
     def evaluate(
         self, baseline: float, candidate: float
     ) -> Tuple[bool, float]:
         """``(regressed, measured_value)`` for one aligned key."""
-        if self.kind == "ratio":
-            if baseline < _TIMING_FLOOR_SECONDS:
-                return False, 0.0
-            ratio = candidate / baseline
-            return ratio > self.tolerance, ratio
         denominator = max(abs(baseline), 1e-12)
         if self.kind == "rel_decrease":
             fall = (baseline - candidate) / denominator
@@ -257,10 +236,9 @@ class Gate:
 
 
 #: The standing regression gates: final losses may worsen by at most 5%,
-#: step time by at most 1.5x, validation scores may fall by at most 5%.
+#: validation scores may fall by at most 5%.
 DEFAULT_GATES: Tuple[Gate, ...] = (
     Gate("loss.*.final", 0.05, "rel_increase"),
-    Gate("steps.*.mean_step_seconds", 1.5, "ratio", timing=True),
     Gate("val.*.best", 0.05, "rel_decrease"),
 )
 
@@ -271,9 +249,12 @@ def compare_summaries(
     gates: Sequence[Gate] = DEFAULT_GATES,
     baseline_meta: Optional[Dict[str, object]] = None,
     candidate_meta: Optional[Dict[str, object]] = None,
-    require_complete: bool = False,
 ) -> Dict[str, object]:
-    """Align two summaries and evaluate every gate; JSON-ready result."""
+    """Align two summaries and evaluate every gate; JSON-ready result.
+
+    A ``candidate_meta`` whose ``complete`` is false (a run log without
+    ``run_end``) is a regression whatever the gates say.
+    """
     keys = sorted(set(baseline) | set(candidate))
     series: Dict[str, Dict[str, Optional[float]]] = {}
     for key in keys:
@@ -312,11 +293,11 @@ def compare_summaries(
                 regressions.append(record)
 
     candidate_meta = dict(candidate_meta or {})
-    if require_complete and not candidate_meta.get("complete", True):
+    if not candidate_meta.get("complete", True):
         regressions.append(
             {
                 "key": "run.complete",
-                "gate": "--require-complete",
+                "gate": "run_end",
                 "kind": "presence",
                 "tolerance": 0.0,
                 "baseline": 1.0,
@@ -363,9 +344,6 @@ def render_text(comparison: Dict[str, object]) -> str:
         f"candidate: {cand_meta.get('path', '?')} "
         f"(status={cand_meta.get('status', '?')})"
     )
-    if cand_meta.get("complete") is False:
-        lines.append("warning: candidate log has no run_end (crashed or "
-                     "truncated run)")
 
     checked = comparison.get("checked") or []
     if checked:
@@ -376,9 +354,7 @@ def render_text(comparison: Dict[str, object]) -> str:
                     record["key"],
                     _format_value(record["key"], record["baseline"]),
                     _format_value(record["key"], record["candidate"]),
-                    f"{record['measured']:+.3f}"
-                    if record["kind"] != "ratio"
-                    else f"{record['measured']:.2f}x",
+                    f"{record['measured']:+.3f}",
                     "FAIL" if record["regressed"] else "ok",
                 )
             )
@@ -430,9 +406,7 @@ def _parse_tolerances(
         matched = False
         for index, gate in enumerate(result):
             if gate.pattern == pattern:
-                result[index] = Gate(
-                    gate.pattern, value, gate.kind, gate.timing
-                )
+                result[index] = Gate(gate.pattern, value, gate.kind)
                 matched = True
         if not matched:
             result.append(Gate(pattern, value, "rel_increase"))
@@ -449,22 +423,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("baseline", help="trusted run log / JSON report")
     parser.add_argument("candidate", help="fresh run log / JSON report")
     parser.add_argument(
-        "--json", action="store_true", help="print the JSON diff to stdout"
-    )
-    parser.add_argument(
         "--json-out", metavar="PATH", help="also write the JSON diff to PATH"
-    )
-    parser.add_argument(
-        "--no-timing", action="store_true",
-        help="drop wall-clock gates (cross-machine comparisons)",
     )
     parser.add_argument(
         "--tolerance", action="append", default=[], metavar="PATTERN=VALUE",
         help="override a gate tolerance (repeatable)",
-    )
-    parser.add_argument(
-        "--require-complete", action="store_true",
-        help="fail when the candidate log lacks run_end",
     )
     options = parser.parse_args(argv)
 
@@ -479,8 +442,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if options.no_timing:
-        gates = [gate for gate in gates if not gate.timing]
 
     comparison = compare_summaries(
         baseline,
@@ -488,16 +449,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         gates=gates,
         baseline_meta=baseline_meta,
         candidate_meta=candidate_meta,
-        require_complete=options.require_complete,
     )
     if options.json_out:
         with open(options.json_out, "w", encoding="utf-8") as handle:
             json.dump(comparison, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if options.json:
-        print(json.dumps(comparison, indent=2, sort_keys=True))
-    else:
-        print(render_text(comparison))
+    print(render_text(comparison))
     return 0 if comparison["ok"] else 1
 
 

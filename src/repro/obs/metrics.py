@@ -11,18 +11,15 @@ there a ``contextvars.ContextVar``), so trainer threads and inference
 threads can write the same registry without torn updates.
 
 Snapshot semantics: :meth:`MetricsRegistry.snapshot` returns plain dicts
-(JSON-ready), :meth:`MetricsRegistry.reset` zeroes every series in place,
-and :meth:`MetricsRegistry.to_jsonl` streams one line per series for
-offline aggregation.
+(JSON-ready) and :meth:`MetricsRegistry.reset` zeroes every series in
+place.
 """
 
 from __future__ import annotations
 
-import json
-import re
 import threading
 import time
-from typing import Dict, IO, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -31,7 +28,6 @@ __all__ = [
     "Timer",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
-    "validate_exposition",
 ]
 
 #: Fixed bucket boundaries for latency histograms (seconds) — roughly
@@ -279,50 +275,6 @@ class _TimerContext:
         self._timer.observe(time.perf_counter() - self._started, **self._labels)
 
 
-def _prometheus_name(name: str) -> str:
-    """Sanitise a metric name for the Prometheus exposition grammar."""
-    sanitised = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-    if sanitised and sanitised[0].isdigit():
-        sanitised = "_" + sanitised
-    return sanitised
-
-
-def _escape_label_value(value: object) -> str:
-    """Label-value escaping per the exposition format: ``\\`` first (so
-    the escapes it introduces are never re-escaped), then ``"`` and
-    literal newlines."""
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _escape_help(text: str) -> str:
-    """``# HELP`` escaping: only ``\\`` and newlines are special there
-    (quotes pass through verbatim, unlike label values)."""
-    return str(text).replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _prometheus_labels(labels: Dict[str, str]) -> str:
-    """``{key="value",...}`` with sorted keys and escaped values."""
-    if not labels:
-        return ""
-    parts = []
-    for key in sorted(labels):
-        parts.append(f'{_prometheus_name(key)}="{_escape_label_value(labels[key])}"')
-    return "{" + ",".join(parts) + "}"
-
-
-def _format_float(value: float) -> str:
-    """Float rendering for exposition samples (``repr``-exact, no padding)."""
-    value = float(value)
-    if value == int(value) and abs(value) < 1e15:
-        return f"{value:.1f}"
-    return repr(value)
-
-
 class MetricsRegistry:
     """Get-or-create home for every metric of one telemetry session.
 
@@ -350,7 +302,7 @@ class MetricsRegistry:
             elif help and not metric.help:
                 # Backfill: the first caller often creates the series on a
                 # hot path without docs; a later declaration site may
-                # supply the # HELP text.
+                # supply the help text.
                 metric.help = help
             return metric
 
@@ -386,7 +338,7 @@ class MetricsRegistry:
             raise ValueError(f"metric {name!r} exists with different buckets")
         return metric
 
-    # -- introspection / export -----------------------------------------
+    # -- introspection --------------------------------------------------
     def __iter__(self) -> Iterator[_Metric]:
         with self._lock:
             metrics = list(self._metrics.values())
@@ -409,218 +361,3 @@ class MetricsRegistry:
         """Zero every series of every metric (names stay registered)."""
         for metric in self:
             metric.reset()
-
-    def to_prometheus(self) -> str:
-        """Prometheus text-exposition dump of every series (version 0.0.4).
-
-        Stdlib-only so a serving tier's ``/metrics`` endpoint is a
-        one-liner.  Conventions: metric names sanitised to
-        ``[a-zA-Z0-9_:]`` (dots become underscores), counters gain the
-        ``_total`` suffix, timers export as histograms, histogram buckets
-        are *cumulative* with a closing ``+Inf``, label keys sorted, and
-        metrics emitted in name order — byte-stable output for a given
-        registry state (the golden-file test pins it).
-        """
-        lines: List[str] = []
-        for metric in sorted(self, key=lambda m: m.name):
-            dump = metric.snapshot()
-            kind = dump["kind"]
-            name = _prometheus_name(dump["name"])
-            prom_kind = "histogram" if kind == "timer" else kind
-            if dump["help"]:
-                lines.append(f"# HELP {name} {_escape_help(dump['help'])}")
-            lines.append(f"# TYPE {name} {prom_kind}")
-            for series in dump["series"]:
-                labels = series["labels"]
-                value = series["value"]
-                if prom_kind == "histogram":
-                    cumulative = 0
-                    for bound in metric.buckets:
-                        cumulative += value["buckets"][str(bound)]
-                        bucket_labels = dict(labels, le=_format_float(bound))
-                        lines.append(
-                            f"{name}_bucket{_prometheus_labels(bucket_labels)}"
-                            f" {cumulative}"
-                        )
-                    lines.append(
-                        f"{name}_bucket{_prometheus_labels(dict(labels, le='+Inf'))}"
-                        f" {value['count']}"
-                    )
-                    lines.append(
-                        f"{name}_sum{_prometheus_labels(labels)}"
-                        f" {_format_float(value['sum'])}"
-                    )
-                    lines.append(
-                        f"{name}_count{_prometheus_labels(labels)}"
-                        f" {value['count']}"
-                    )
-                else:
-                    sample = name + ("_total" if prom_kind == "counter" else "")
-                    lines.append(
-                        f"{sample}{_prometheus_labels(labels)}"
-                        f" {_format_float(value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def validate_exposition(self) -> List[str]:
-        """Format-check this registry's own exposition (empty = valid)."""
-        return validate_exposition(self.to_prometheus())
-
-    def to_jsonl(self, destination: Union[str, IO[str]]) -> int:
-        """Write one JSON line per labeled series; returns lines written.
-
-        ``destination`` is a path (created/truncated) or an open handle.
-        """
-        lines = 0
-        handle: IO[str]
-        close = isinstance(destination, str)
-        handle = open(destination, "w", encoding="utf-8") if close else destination
-        try:
-            for metric in self:
-                dump = metric.snapshot()
-                for series in dump["series"]:
-                    record = {
-                        "name": dump["name"],
-                        "kind": dump["kind"],
-                        "labels": series["labels"],
-                        "value": series["value"],
-                    }
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-                    lines += 1
-        finally:
-            if close:
-                handle.close()
-        return lines
-
-
-# ----------------------------------------------------------------------
-# Exposition format checker
-# ----------------------------------------------------------------------
-_SAMPLE_RE = re.compile(
-    r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)'
-    r'(?:\{(?P<labels>(?:[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*",?)*)\})?'
-    r' (?P<value>[^ ]+)(?: (?P<timestamp>-?[0-9]+))?$'
-)
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\.)*)"')
-_TYPE_KINDS = ("counter", "gauge", "histogram", "summary", "untyped")
-
-
-def _unescape_label_value(value: str) -> str:
-    return (
-        value.replace("\\\\", "\x00")
-        .replace('\\"', '"')
-        .replace("\\n", "\n")
-        .replace("\x00", "\\")
-    )
-
-
-def validate_exposition(text: str) -> List[str]:
-    """Check a Prometheus text-exposition document; returns found errors.
-
-    A pure-stdlib subset of ``promtool check metrics`` covering what a
-    torn or malformed scrape would violate:
-
-    * every non-comment line parses as ``name{labels} value`` with legal
-      metric/label names, properly quoted+escaped label values, and a
-      float-parseable value;
-    * ``# TYPE`` lines name a known kind and appear at most once per
-      metric, before that metric's first sample;
-    * histogram ``_bucket`` series are cumulative — counts never decrease
-      as ``le`` grows, a ``+Inf`` bucket exists, and it equals the
-      family's ``_count`` sample for the same label set.
-
-    An empty list means the document is valid.  Concurrent-scrape tests
-    run every response through this, so a half-written series or an
-    unescaped label value fails loudly.
-    """
-    errors: List[str] = []
-    typed: Dict[str, str] = {}
-    sampled: set = set()
-    # (family, frozen non-le labels) -> [(le, value)]
-    buckets: Dict[Tuple[str, LabelKey], List[Tuple[float, float]]] = {}
-    counts: Dict[Tuple[str, LabelKey], float] = {}
-
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 2 and parts[1] in ("HELP", "TYPE"):
-                if len(parts) < 3:
-                    errors.append(f"line {number}: bare # {parts[1]} line")
-                    continue
-                name = parts[2]
-                if not re.fullmatch(r"[a-zA-Z_:][a-zA-Z0-9_:]*", name):
-                    errors.append(
-                        f"line {number}: invalid metric name {name!r}"
-                    )
-                if parts[1] == "TYPE":
-                    kind = parts[3].strip() if len(parts) > 3 else ""
-                    if kind not in _TYPE_KINDS:
-                        errors.append(
-                            f"line {number}: unknown TYPE {kind!r} for {name}"
-                        )
-                    if name in typed:
-                        errors.append(
-                            f"line {number}: duplicate TYPE for {name}"
-                        )
-                    if name in sampled:
-                        errors.append(
-                            f"line {number}: TYPE for {name} after its samples"
-                        )
-                    typed[name] = kind
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            errors.append(f"line {number}: unparseable sample {line!r}")
-            continue
-        name = match.group("name")
-        sampled.add(name)
-        raw_value = match.group("value")
-        try:
-            value = float(raw_value)
-        except ValueError:
-            if raw_value not in ("+Inf", "-Inf", "NaN"):
-                errors.append(
-                    f"line {number}: unparseable value {raw_value!r}"
-                )
-            value = float("nan")
-        labels: Dict[str, str] = {}
-        raw_labels = match.group("labels")
-        if raw_labels:
-            consumed = sum(
-                len(m.group(0)) for m in _LABEL_RE.finditer(raw_labels)
-            )
-            pairs = _LABEL_RE.findall(raw_labels)
-            if consumed + max(len(pairs) - 1, 0) < len(raw_labels.rstrip(",")):
-                errors.append(
-                    f"line {number}: malformed label block {{{raw_labels}}}"
-                )
-            labels = {
-                key: _unescape_label_value(val) for key, val in pairs
-            }
-        if name.endswith("_bucket") and "le" in labels:
-            family = name[: -len("_bucket")]
-            le_raw = labels.pop("le")
-            le = float("inf") if le_raw == "+Inf" else float(le_raw)
-            buckets.setdefault((family, _label_key(labels)), []).append(
-                (le, value)
-            )
-        elif name.endswith("_count"):
-            family = name[: -len("_count")]
-            counts[(family, _label_key(labels))] = value
-
-    for (family, key), series in buckets.items():
-        where = f"{family}{{{dict(key)}}}" if key else family
-        ordered = sorted(series)
-        values = [count for _, count in ordered]
-        if values != sorted(values):
-            errors.append(f"{where}: bucket counts not cumulative")
-        if not ordered or ordered[-1][0] != float("inf"):
-            errors.append(f"{where}: histogram lacks a +Inf bucket")
-        elif (family, key) in counts and ordered[-1][1] != counts[(family, key)]:
-            errors.append(
-                f"{where}: +Inf bucket {ordered[-1][1]} != _count "
-                f"{counts[(family, key)]}"
-            )
-    return errors

@@ -1,8 +1,9 @@
 """Unit tests for the run-log differ and regression gate.
 
-The acceptance criteria live here: injected regressions (a >=10% final
-loss increase, a >=2x step-time slowdown) must exit non-zero, identical
-logs exit zero, and truncated logs missing ``run_end`` are handled.
+The acceptance criteria live here: an injected >=10% final loss increase
+must exit non-zero, identical logs and a 2x step-time slowdown exit zero
+(wall-clock series are not gated), and a truncated candidate missing
+``run_end`` exits non-zero.
 """
 
 import json
@@ -140,13 +141,6 @@ class TestGate:
         assert gate.evaluate(1.0, 1.04) == (False, pytest.approx(0.04))
         assert gate.evaluate(1.0, 1.10)[0] is True
 
-    def test_ratio_with_timing_floor(self):
-        gate = Gate("steps.*", 1.5, "ratio", timing=True)
-        assert gate.evaluate(0.010, 0.025)[0] is True
-        assert gate.evaluate(0.010, 0.012)[0] is False
-        # sub-floor timings are jitter, never a regression
-        assert gate.evaluate(0.00001, 0.00009)[0] is False
-
     def test_rel_decrease(self):
         gate = Gate("val.*", 0.05, "rel_decrease")
         assert gate.evaluate(0.80, 0.70)[0] is True
@@ -174,30 +168,6 @@ class TestCompareSummaries:
             for r in result["regressions"]
         )
 
-    def test_double_step_time_fails(self, tmp_path):
-        baseline = run_summary(
-            _make_run_log(tmp_path / "a.jsonl", LOSSES, step_seconds=0.01)
-        )
-        slow = run_summary(
-            _make_run_log(tmp_path / "b.jsonl", LOSSES, step_seconds=0.02)
-        )
-        result = compare_summaries(baseline, slow)
-        assert result["ok"] is False
-        assert any(
-            r["key"] == "steps.block_train.mean_step_seconds"
-            for r in result["regressions"]
-        )
-
-    def test_no_timing_ignores_the_slowdown(self, tmp_path):
-        baseline = run_summary(
-            _make_run_log(tmp_path / "a.jsonl", LOSSES, step_seconds=0.01)
-        )
-        slow = run_summary(
-            _make_run_log(tmp_path / "b.jsonl", LOSSES, step_seconds=0.02)
-        )
-        gates = [g for g in DEFAULT_GATES if not g.timing]
-        assert compare_summaries(baseline, slow, gates=gates)["ok"] is True
-
     def test_validation_drop_fails(self, tmp_path):
         baseline = run_summary(
             _make_run_log(tmp_path / "a.jsonl", LOSSES, val_f1=(0.5, 0.8))
@@ -217,7 +187,7 @@ class TestCompareSummaries:
             tmp_path / "b.jsonl", [x * 1.10 for x in LOSSES]
         ))
         gates = [
-            Gate(g.pattern, 0.5, g.kind, timing=g.timing)
+            Gate(g.pattern, 0.5, g.kind)
             if g.pattern.startswith("loss.") else g
             for g in DEFAULT_GATES
         ]
@@ -281,10 +251,10 @@ class TestCli:
         assert main([base, cand]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
-    def test_step_time_regression_exits_one(self, tmp_path):
-        base, cand = self._logs(tmp_path, step_seconds=0.021)
-        assert main([base, cand]) == 1
-        assert main([base, cand, "--no-timing"]) == 0
+    def test_step_time_slowdown_exits_zero(self, tmp_path, capsys):
+        base, cand = self._logs(tmp_path, step_seconds=0.02)
+        assert main([base, cand]) == 0
+        assert "steps.block_train.mean_step_seconds" not in capsys.readouterr().out
 
     def test_tolerance_flag(self, tmp_path):
         base, cand = self._logs(tmp_path, factor=1.10)
@@ -302,18 +272,17 @@ class TestCli:
         assert main([base, str(tmp_path / "absent.jsonl")]) == 2
         capsys.readouterr()
 
-    def test_truncated_candidate_needs_require_complete(self, tmp_path, capsys):
+    def test_truncated_candidate_exits_one(self, tmp_path, capsys):
         base, cand = self._logs(tmp_path, truncate=True)
-        assert main([base, cand]) == 0  # warning only
-        assert main([base, cand, "--require-complete"]) == 1
-        capsys.readouterr()
+        assert main([base, cand]) == 1
+        assert "run.complete" in capsys.readouterr().out
 
     def test_json_output_shapes(self, tmp_path, capsys):
         base, cand = self._logs(tmp_path, factor=1.5)
         out_path = tmp_path / "diff.json"
-        code = main([base, cand, "--json", "--json-out", str(out_path)])
+        code = main([base, cand, "--json-out", str(out_path)])
         assert code == 1
-        payload = json.loads(capsys.readouterr().out)
+        assert "REGRESSION" in capsys.readouterr().out
+        payload = json.loads(out_path.read_text())
         assert payload["ok"] is False
         assert payload["regressions"]
-        assert json.loads(out_path.read_text()) == payload

@@ -1,7 +1,5 @@
-"""Metrics registry: series semantics, export, and thread safety."""
+"""Metrics registry: series semantics, snapshots, and thread safety."""
 
-import io
-import json
 import threading
 
 import pytest
@@ -196,26 +194,11 @@ class TestRegistry:
         assert registry.snapshot()["c"]["series"] == []
         assert "c" in registry  # names survive a reset
 
-    def test_to_jsonl_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2, kind="x")
-        registry.gauge("g").set(1.5)
-        buffer = io.StringIO()
-        lines = registry.to_jsonl(buffer)
-        records = [json.loads(line) for line in buffer.getvalue().splitlines()]
-        assert lines == len(records) == 2
-        by_name = {r["name"]: r for r in records}
-        assert by_name["c"] == {
-            "name": "c", "kind": "counter", "labels": {"kind": "x"}, "value": 2.0,
-        }
-        assert by_name["g"]["value"] == 1.5
-
-    def test_to_jsonl_path(self, tmp_path):
+    def test_help_backfills_on_reregistration(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
-        path = tmp_path / "metrics.jsonl"
-        assert registry.to_jsonl(str(path)) == 1
-        assert json.loads(path.read_text())["value"] == 1.0
+        registry.counter("c", help="added later").inc()
+        assert registry.snapshot()["c"]["help"] == "added later"
 
     def test_default_latency_buckets_sorted(self):
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
@@ -265,154 +248,3 @@ class TestThreadSafety:
         assert dump["count"] == threads * observations
         assert dump["buckets"]["0.5"] == threads * observations
 
-
-def _exposition_registry() -> MetricsRegistry:
-    """Deterministic registry the Prometheus golden file pins."""
-    registry = MetricsRegistry()
-    counter = registry.counter("cache.hits", help="feature cache hits")
-    counter.inc(3, stage="encode")
-    counter.inc(1, stage="decode")
-    registry.gauge("queue.depth").set(4)
-    hist = registry.histogram("batch.size", buckets=(1.0, 2.0, 5.0))
-    for value in (0.5, 1.5, 1.5, 4.0, 9.0):
-        hist.observe(value)
-    timer = registry.timer("step.seconds", buckets=(0.1, 1.0))
-    timer.observe(0.05, worker="0")
-    timer.observe(0.5, worker="0")
-    # Adversarial values the exposition format must escape: backslashes,
-    # double quotes and newlines in label values; backslash/newline in
-    # help text.
-    hostile = registry.counter(
-        "hostile.labels", help="weird\\path help\nsecond line"
-    )
-    hostile.inc(2, path='C:\\dir\\"quoted"\nnext')
-    return registry
-
-
-class TestPrometheusExport:
-    GOLDEN = "tests/obs/data/prometheus_export.txt"
-
-    def test_matches_golden_file(self):
-        import pathlib
-
-        golden = pathlib.Path(self.GOLDEN)
-        assert golden.exists(), (
-            f"golden file missing; regenerate with:\n  PYTHONPATH=src python"
-            f" -c \"from tests.obs.test_metrics import _exposition_registry;"
-            f" print(_exposition_registry().to_prometheus(), end='')\""
-            f" > {self.GOLDEN}"
-        )
-        assert _exposition_registry().to_prometheus() == golden.read_text()
-
-    def test_counters_get_total_suffix_and_sorted_labels(self):
-        registry = MetricsRegistry()
-        registry.counter("hits").inc(2, zone="b", area="a")
-        text = registry.to_prometheus()
-        assert 'hits_total{area="a",zone="b"} 2.0' in text
-
-    def test_names_are_sanitised(self):
-        registry = MetricsRegistry()
-        registry.gauge("cache.hit-rate").set(0.5)
-        assert "cache_hit_rate 0.5" in registry.to_prometheus()
-
-    def test_histogram_buckets_are_cumulative(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("sizes", buckets=(1.0, 2.0))
-        hist.observe(0.5)
-        hist.observe(1.5)
-        hist.observe(5.0)
-        text = registry.to_prometheus()
-        assert 'sizes_bucket{le="1.0"} 1' in text
-        assert 'sizes_bucket{le="2.0"} 2' in text
-        assert 'sizes_bucket{le="+Inf"} 3' in text
-        assert "sizes_count 3" in text
-
-    def test_timer_exports_as_histogram(self):
-        registry = MetricsRegistry()
-        registry.timer("lat", buckets=(0.1,)).observe(0.05)
-        text = registry.to_prometheus()
-        assert "# TYPE lat histogram" in text
-        assert 'lat_bucket{le="0.1"} 1' in text
-
-    def test_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("odd").inc(1, path='a"b\\c')
-        assert 'path="a\\"b\\\\c"' in registry.to_prometheus()
-
-    def test_label_newlines_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("odd").inc(1, path="line1\nline2")
-        text = registry.to_prometheus()
-        assert 'path="line1\\nline2"' in text
-        # The exposition must stay one sample per physical line.
-        assert all(
-            line.startswith(("#", "odd_total")) for line in text.splitlines()
-        )
-
-    def test_help_text_is_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("doc", help="has \\slash\nand newline").inc()
-        assert "# HELP doc has \\\\slash\\nand newline" in registry.to_prometheus()
-
-    def test_help_backfills_on_reregistration(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.counter("c", help="added later").inc()
-        assert "# HELP c added later" in registry.to_prometheus()
-
-    def test_empty_registry_is_empty_string(self):
-        assert MetricsRegistry().to_prometheus() == ""
-
-
-class TestValidateExposition:
-    def test_own_exposition_is_valid(self):
-        assert _exposition_registry().validate_exposition() == []
-
-    def test_module_function_accepts_raw_text(self):
-        from repro.obs.metrics import validate_exposition
-
-        text = _exposition_registry().to_prometheus()
-        assert validate_exposition(text) == []
-
-    def test_catches_torn_sample_line(self):
-        from repro.obs.metrics import validate_exposition
-
-        errors = validate_exposition('x_total{label="v"} ')
-        assert errors and "unparseable" in errors[0]
-
-    def test_catches_unescaped_label_newline(self):
-        from repro.obs.metrics import validate_exposition
-
-        errors = validate_exposition('x_total{label="a\nb"} 1\n')
-        assert errors
-
-    def test_catches_unknown_type(self):
-        from repro.obs.metrics import validate_exposition
-
-        errors = validate_exposition("# TYPE x flamegraph\nx 1\n")
-        assert any("unknown TYPE" in error for error in errors)
-
-    def test_catches_non_cumulative_buckets(self):
-        from repro.obs.metrics import validate_exposition
-
-        text = (
-            'h_bucket{le="1.0"} 5\n'
-            'h_bucket{le="2.0"} 3\n'
-            'h_bucket{le="+Inf"} 5\n'
-            "h_count 5\n"
-        )
-        errors = validate_exposition(text)
-        assert any("not cumulative" in error for error in errors)
-
-    def test_catches_missing_inf_bucket(self):
-        from repro.obs.metrics import validate_exposition
-
-        errors = validate_exposition('h_bucket{le="1.0"} 2\nh_count 2\n')
-        assert any("+Inf" in error for error in errors)
-
-    def test_catches_count_mismatch(self):
-        from repro.obs.metrics import validate_exposition
-
-        text = 'h_bucket{le="+Inf"} 2\nh_count 5\n'
-        errors = validate_exposition(text)
-        assert any("_count" in error for error in errors)

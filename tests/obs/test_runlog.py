@@ -116,7 +116,7 @@ class TestTelemetrySession:
             with obs.trace("work", batch=2):
                 pass
             tel.metrics.counter("items").inc(5)
-            obs.emit("custom", value=1)
+            tel.event("custom", value=1)
         events = read_run_log(path)
         kinds = [e["event"] for e in events]
         assert kinds[0] == "run_start"
