@@ -81,12 +81,7 @@ class _NerCrfBase(Module):
         self.emitter = Linear(2 * config.lstm_hidden, scheme.num_labels, rng=rng)
 
     def emissions(self, features) -> Tensor:
-        states = self.encoder(
-            features.piece_ids, features.piece_mask, features.piece_shape
-        )
-        rows = np.arange(features.batch_size)[:, None]
-        gathered = states[rows, features.first_piece]
-        return self.emitter(self.bilstm(gathered))
+        return self.emitter(self.bilstm(self.encoder(features)))
 
     def predict(self, examples: Sequence[NerExample]) -> List[List[str]]:
         features = self.featurizer.featurize(examples)
@@ -232,12 +227,7 @@ class AutoNer(Module):
 
     # ------------------------------------------------------------------
     def _states(self, features) -> Tensor:
-        states = self.encoder(
-            features.piece_ids, features.piece_mask, features.piece_shape
-        )
-        rows = np.arange(features.batch_size)[:, None]
-        gathered = states[rows, features.first_piece]
-        return self.bilstm(gathered)
+        return self.bilstm(self.encoder(features))
 
     def boundary_logits(self, states: Tensor) -> Tensor:
         """(b, w-1, 2) tie/break scores for adjacent word pairs."""

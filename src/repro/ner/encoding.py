@@ -60,7 +60,9 @@ class NerFeatures:
 
     ``first_piece`` maps each word slot to the index of its first WordPiece
     in the piece sequence (0, the [CLS] slot, for padding words —
-    ``word_mask`` distinguishes real words).
+    ``word_mask`` distinguishes real words).  A word with no WordPieces
+    (an empty string) points at the next word's first piece, or, at the
+    end of its row, at the row's last piece: never past the row.
     """
 
     piece_ids: np.ndarray     # (b, p) int
@@ -160,6 +162,8 @@ class NerFeaturizer:
         label_ids[word_slots] = labels
         first_piece = np.zeros((b, max_w), dtype=np.int64)
         first_piece[word_slots] = firsts
+        # A trailing empty word's slot is one past its row; keep it inside.
+        np.minimum(first_piece, lengths_arr[:, None] - 1, out=first_piece)
 
         # Every piece after [CLS] repeats its word's shape row; only a word's
         # first piece carries the is-initial flag.  Kept words are numbered

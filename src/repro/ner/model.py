@@ -21,7 +21,6 @@ from ..nn import init as nn_init
 from ..nn import quantize as nn_quantize
 from ..nn.attention import ragged_layout, width_groups
 from ..nn.functional import cross_entropy, softmax
-from ..nn.tensor import is_grad_enabled
 from ..text.wordpiece import WordPieceTokenizer
 from .encoding import NerFeatures, NerFeaturizer
 
@@ -68,11 +67,12 @@ class NerEncoder(Module):
     cues (digit runs, ``@``, punctuation, block position) standing in for
     what web-scale pre-training gives the paper's RoBERTa for free.
 
-    Serving runs :meth:`infer_words`, which encodes a batch in ragged
-    piece-width groups instead of one block padded to its longest row.
+    :meth:`forward` is its only pass, for training and serving alike: it
+    encodes a batch in ragged piece-width groups instead of one block
+    padded to its longest row.
     """
 
-    #: Ragged serving groups: at least 2 rows each, at most 16 per batch.
+    #: Ragged piece groups: at least 2 rows each, at most 16 per batch.
     GROUP_ROWS = 2
     MAX_GROUPS = 16
 
@@ -100,47 +100,34 @@ class NerEncoder(Module):
             rng=rng,
         )
 
-    def forward(
-        self,
-        piece_ids: np.ndarray,
-        piece_mask: np.ndarray,
-        piece_shape: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        segments = np.zeros_like(piece_ids)
-        embedded = self.embedding(piece_ids, segments)
-        if piece_shape is not None:
-            embedded = embedded + self.shape_project(
-                Tensor(np.asarray(piece_shape, dtype=np.float64))
-            )
-        return self.encoder(embedded, attention_mask=piece_mask)
-
     def piece_groups(self, piece_mask: np.ndarray) -> list:
-        """The :func:`~repro.nn.attention.width_groups` :meth:`infer_words`
+        """The :func:`~repro.nn.attention.width_groups` :meth:`forward`
         encodes: ``[(rows, t), ...]`` over valid pieces per row."""
         return width_groups(piece_mask.sum(axis=1), self.GROUP_ROWS, self.MAX_GROUPS)
 
-    def infer_words(self, features: NerFeatures) -> np.ndarray:
-        """Forward-only state of each word's first piece, ``(b, w, d)``.
+    def forward(self, features: NerFeatures) -> Tensor:
+        """Contextual state of each word's first piece, ``(b, w, d)``.
 
         Rows are grouped by piece width (:meth:`piece_groups`), each group
         trimmed to its own widest row, and every group's pieces go into
         one flat ``(Σ n·t, d)`` buffer.  The embeddings and the shape
-        projection run once over it at float64, and
-        :meth:`TransformerEncoder.infer_block` runs the stack once, with
-        only the attention core per group.  One fancy index then picks
-        each word's first piece.  Trailing padding is masked, so this
-        matches :meth:`forward` plus the gather to GEMM round-off.
+        projection run once over it, the Transformer stack runs once with
+        only the attention core per group, and one gather picks each
+        word's first piece (padding word slots pick their row's
+        ``[CLS]``).  Under ``no_grad`` every layer dispatches to its
+        raw-array ``infer``, so this one method is both the serving and
+        the training pass.  Trailing padding is masked, so the states
+        match a pass over the batch padded to its widest row to round-off.
         """
         layout = ragged_layout(
             self.piece_groups(features.piece_mask), features.piece_mask
         )
-        ids = features.piece_ids[layout.rows, layout.cols]
-        flat = self.embedding.infer(ids, np.zeros_like(ids), positions=layout.cols)
+        rows, cols = layout.rows, layout.cols
+        ids = features.piece_ids[rows, cols]
+        flat = self.embedding(ids, np.zeros_like(ids), positions=cols)
         if features.piece_shape is not None:
-            flat += self.shape_project.infer(
-                features.piece_shape[layout.rows, layout.cols]
-            )
-        states = self.encoder.infer_block(flat, layout.blocks, layout.masks)
+            flat = flat + self.shape_project(Tensor(features.piece_shape[rows, cols]))
+        states = self.encoder(flat, blocks=layout.blocks, masks=layout.masks)
         return states[layout.row_base[:, None] + features.first_piece]
 
 
@@ -191,29 +178,16 @@ class NerTagger(Module):
         return self.config.inference_precision
 
     # ------------------------------------------------------------------
-    def word_states(self, features: NerFeatures) -> Tensor:
-        """Contextual state of each word's first sub-word, ``(b, w, d)``.
-
-        Under ``no_grad`` with encoder dropout inactive this is the ragged
-        :meth:`NerEncoder.infer_words`; otherwise the padded graph path.
-        """
-        if not is_grad_enabled() and self.encoder.encoder._dropout_inactive():
-            return Tensor(self.encoder.infer_words(features))
-        states = self.encoder(
-            features.piece_ids, features.piece_mask, features.piece_shape
-        )
-        b = features.batch_size
-        rows = np.arange(b)[:, None]
-        return states[rows, features.first_piece]
-
     def logits(self, features: NerFeatures) -> Tensor:
         """Per-word label scores ``(b, w, num_labels)``.
 
-        Padding word slots gather the [CLS] piece state, so they are zeroed
-        and the BiLSTM runs masked — each example's scores depend only on
-        its own words, not on how long its batch-mates are.
+        The word states come from :meth:`NerEncoder.forward`, the one
+        ragged encoder pass, with grads on or off.  Padding word slots
+        gather the [CLS] piece state, so they are zeroed and the BiLSTM
+        runs masked — each example's scores depend only on its own words,
+        not on how long its batch-mates are.
         """
-        gathered = self.dropout(self.word_states(features))
+        gathered = self.dropout(self.encoder(features))
         gathered = gathered * Tensor(features.word_mask[:, :, None])
         hidden = self.bilstm(gathered, mask=features.word_mask)
         return self.mlp(hidden)
@@ -289,13 +263,15 @@ class NerTagger(Module):
 
         Examples are sorted by word count and run in chunks of
         ``batch_size``.  Within a chunk the encoder runs ragged
-        (:meth:`NerEncoder.infer_words`): rows are grouped by piece width
-        and each group is trimmed to its own widest row, because attention
-        cost is quadratic in the piece axis and a cross-document call
-        mixes one-line blocks with long work histories.  The BiLSTM and
-        the head still see the chunk padded to its longest block.
-        Padding is masked, so an example's labels depend only on its own
-        words, never on its batch-mates.  An active :mod:`repro.obs`
+        (:meth:`NerEncoder.forward`, the pass training also runs): rows are
+        grouped by piece width and each group is trimmed to its own widest
+        row, because attention cost is quadratic in the piece axis and a
+        cross-document call mixes one-line blocks with long work
+        histories.  The BiLSTM and the head still see the chunk padded to
+        its longest block.  Padding is masked, so an example's labels
+        depend only on its own words, never on its batch-mates; that holds
+        for a word with no WordPieces too (see
+        :meth:`NerFeaturizer.featurize`).  An active :mod:`repro.obs`
         session records ``featurize``/``encode``/``decode`` spans (the
         ``encode`` span carries ``pieces``, the valid piece rows, and
         ``piece_slots``, the rows the ragged groups computed) plus

@@ -42,7 +42,7 @@ class SelfTrainConfig:
     batch_size: int = 16
     #: Mini-batches accumulated into each teacher optimizer step; raises
     #: the effective batch to ``batch_size * grad_accumulation`` without
-    #: growing the padded forward pass.
+    #: growing each forward pass.
     grad_accumulation: int = 1
     learning_rate: float = 1e-3
     #: Student steps use a gentler rate than supervised teacher training —

@@ -20,6 +20,8 @@ from repro.ner import (
 )
 from repro.text import WordPieceTokenizer
 
+from ..helpers import padded_ner_word_states
+
 
 @pytest.fixture(scope="module")
 def setting():
@@ -72,6 +74,20 @@ class TestBertBiLstmCrf:
         assert all(
             len(p) == len(e.words) for p, e in zip(predictions, corpus.test[:2])
         )
+
+    def test_emissions_match_padded_oracle(self, setting):
+        # The ragged encoder pass against the whole batch padded to its
+        # widest row, under the same BiLSTM and emitter, grads on.
+        _, train, _, tokenizer, config = setting
+        model = BertBiLstmCrf(config, tokenizer, rng=np.random.default_rng(0))
+        features = model.featurizer.featurize(train[:8])
+        assert features.piece_mask.sum(axis=1).min() < features.piece_ids.shape[1]
+        emissions = model.emissions(features)
+        oracle = model.emitter(
+            model.bilstm(padded_ner_word_states(model.encoder, features))
+        )
+        assert emissions.requires_grad
+        assert np.abs(emissions.data - oracle.data).max() <= 1e-12
 
     def test_training_reduces_loss(self, setting):
         _, train, _, tokenizer, config = setting

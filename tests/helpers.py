@@ -132,6 +132,18 @@ def per_bucket_sentence_pass(encoder, batch):
     return concat(states, axis=0), concat(vectors, axis=0)[inverse]
 
 
+def padded_ner_word_states(encoder, features) -> Tensor:
+    """``NerEncoder`` over the batch padded to its widest row (the pass
+    before the ragged layout), gathered at each word's first piece."""
+    ids = features.piece_ids
+    embedded = encoder.embedding(ids, np.zeros_like(ids))
+    if features.piece_shape is not None:
+        embedded = embedded + encoder.shape_project(Tensor(features.piece_shape))
+    states = encoder.encoder(embedded, attention_mask=features.piece_mask)
+    rows = np.arange(features.batch_size)[:, None]
+    return states[rows, features.first_piece]
+
+
 def reference_lstm(lstm, x: Tensor, mask=None) -> Tensor:
     """One LSTM direction as a compositional recurrence of ``lstm.cell``
     steps (one node per primitive).  Masked steps carry zero state."""

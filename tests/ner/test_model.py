@@ -6,8 +6,11 @@ import pytest
 from repro.corpus import NerExample, build_ner_corpus
 from repro.docmodel import ENTITY_SCHEME
 from repro.ner import NerConfig, NerFeaturizer, NerTagger
-from repro.nn import no_grad
+from repro.nn import Tensor, no_grad
+from repro.nn.functional import cross_entropy
 from repro.text import WordPieceTokenizer
+
+from ..helpers import padded_ner_word_states
 
 
 @pytest.fixture(scope="module")
@@ -262,21 +265,34 @@ def _mixed_examples(lengths, seed=0):
     ]
 
 
+def _padded_logits(tagger, features):
+    """``NerTagger.logits`` over :func:`padded_ner_word_states`."""
+    states = tagger.dropout(padded_ner_word_states(tagger.encoder, features))
+    states = states * Tensor(features.word_mask[:, :, None])
+    return tagger.mlp(tagger.bilstm(states, mask=features.word_mask))
+
+
+def _ragged_tagger(tokenizer):
+    """A two-layer tagger whose piece budget cuts a 90-word block."""
+    config = NerConfig(
+        vocab_size=len(tokenizer.vocab), hidden_dim=32, layers=2, heads=2,
+        lstm_hidden=16, dropout=0.0, max_pieces=64, max_words=96,
+    )
+    return NerTagger(config, tokenizer, rng=np.random.default_rng(2))
+
+
 class TestRaggedServing:
-    """``no_grad`` logits run the ragged encoder; grads-on the padded graph."""
+    """``NerEncoder.forward`` is the one encoder pass: ragged piece-width
+    groups, with grads on or off, checked against the padded oracle."""
 
     def test_serving_matches_padded_graph(self, tokenizer):
-        config = NerConfig(
-            vocab_size=len(tokenizer.vocab), hidden_dim=32, layers=2, heads=2,
-            lstm_hidden=16, dropout=0.0, max_pieces=64, max_words=96,
-        )
-        tagger = NerTagger(config, tokenizer, rng=np.random.default_rng(2))
+        tagger = _ragged_tagger(tokenizer)
         examples = _mixed_examples([1, 2, 3, 5, 8, 13, 21, 34, 90, 4, 1])
         features = tagger.featurizer.featurize(examples)
         # The longest block is cut by the piece budget, not by max_words.
-        assert features.piece_mask.sum(axis=1).max() == config.max_pieces
+        assert features.piece_mask.sum(axis=1).max() == tagger.config.max_pieces
         assert features.word_mask[8].sum() < 90
-        graph = tagger.logits(features)
+        graph = _padded_logits(tagger, features)
         assert graph.requires_grad  # the padded graph path
         with no_grad():
             served = tagger.logits(features).numpy()
@@ -286,6 +302,36 @@ class TestRaggedServing:
         np.testing.assert_array_equal(
             graph.data.argmax(axis=-1)[mask], served.argmax(axis=-1)[mask]
         )
+
+    def test_training_matches_padded_graph(self, tokenizer):
+        tagger = _ragged_tagger(tokenizer)
+        rng = np.random.default_rng(4)
+        examples = [
+            NerExample(e.words, list(rng.choice(ENTITY_SCHEME.labels, len(e.words))),
+                       "WorkExp")
+            for e in _mixed_examples([1, 3, 1, 90, 6, 1, 13], seed=2)
+        ]
+        features = tagger.featurizer.featurize(examples)
+        # max_words is 96, so the 90-word block is cut by the piece budget.
+        assert features.word_mask[3].sum() < 90
+        assert (features.word_mask.sum(axis=1) == 1).sum() == 3
+
+        def loss_and_grads(loss):
+            tagger.zero_grad()
+            loss.backward()
+            return float(loss.data), {
+                name: param.grad.copy() for name, param in tagger.named_parameters()
+            }
+
+        ragged, ragged_grads = loss_and_grads(tagger.loss(features))
+        padded, padded_grads = loss_and_grads(cross_entropy(
+            _padded_logits(tagger, features), features.label_ids,
+            mask=features.word_mask,
+        ))
+        assert abs(ragged - padded) <= 1e-10
+        assert ragged_grads.keys() == padded_grads.keys()
+        for name, grad in ragged_grads.items():
+            assert np.abs(grad - padded_grads[name]).max() <= 1e-10, name
 
     def test_encode_span_counts_ragged_piece_slots(self, tagger):
         from repro import obs
@@ -314,3 +360,38 @@ class TestRaggedServing:
         monkeypatch.setattr(NerEncoder, "piece_groups", spy)
         tagger.predict(_mixed_examples([1, 90, 1, 5]))
         assert len(calls) == 1  # the encoder's own grouping, nothing more
+
+
+class TestEmptyWord:
+    """A word with no WordPieces at the end of its row stays inside it."""
+
+    EXAMPLE = NerExample(["john", "smith", ""], ["B-Name", "I-Name", "O"], "PInfo")
+
+    def test_first_piece_stays_inside_its_row(self, tokenizer):
+        features = NerFeaturizer(tokenizer).featurize(
+            [self.EXAMPLE, NerExample([""], ["O"], "WorkExp")]
+        )
+        lengths = features.piece_mask.sum(axis=1)
+        assert np.all(features.first_piece < lengths[:, None])
+        assert features.first_piece[1, 0] == 0  # the row's only piece: [CLS]
+
+    def test_lone_trailing_empty_word_predicts(self, tagger):
+        (labels,) = tagger.predict([NerExample([""], ["O"], "WorkExp")])
+        assert len(labels) == 1 and labels[0] in ENTITY_SCHEME.labels
+
+    def test_probs_do_not_depend_on_batch_mates(self, tagger):
+        alone = tagger.predict_probs([self.EXAMPLE])[0, :3]
+        mixed = tagger.predict_probs(
+            _mixed_examples([1, 2]) + [self.EXAMPLE] + _mixed_examples([1, 5, 1])
+        )[2, :3]
+        # Another piece group's width changes GEMM round-off, nothing more.
+        np.testing.assert_allclose(mixed, alone, rtol=0, atol=1e-12)
+
+    def test_grads_on_loss_runs(self, tagger):
+        features = tagger.featurizer.featurize(
+            [self.EXAMPLE, NerExample([""], ["O"], "WorkExp")]
+        )
+        loss = tagger.loss(features)
+        loss.backward()
+        assert np.isfinite(float(loss.data))
+        assert tagger.encoder.embedding.word.weight.grad is not None
